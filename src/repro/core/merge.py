@@ -39,7 +39,7 @@ from typing import Any, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
+from repro.core.prefix_tree import PrefixTree
 from repro.lint.contracts import contract
 from repro.core.taskset import (
     DaemonLayout,
@@ -398,22 +398,23 @@ class HierarchicalLabelScheme(LabelScheme):
 
         Rearranges every concatenation-ordered label into MPI rank order,
         returning a dense-labelled tree suitable for rendering and
-        equivalence-class extraction.
+        equivalence-class extraction.  The whole tree is one kernel call:
+        :meth:`RankRemapper.remap_rows` over the root arrays' distinct
+        label rows, reusing their node arrays unchanged
+        (:class:`PrefixTree` inputs are flattened first).
+
+        Nodes on one call chain share one label *object*, exactly as
+        :meth:`TreeArrays.to_prefix_tree` documents, so treat the returned
+        tree's labels as immutable.
         """
         layout = tree_layout(root_tree)
-        remapper = RankRemapper(layout, task_map)
-        if isinstance(root_tree, TreeArrays):
-            root_tree = root_tree.to_prefix_tree()
-        out = PrefixTree()
-
-        def rec(dst: PrefixTreeNode, src: PrefixTreeNode) -> None:  # repro-lint: disable=hot-path-recursion (front-end remap: the one per-node step)
-            for frame, child in src.children.items():  # repro-lint: disable=hot-path-loop (front-end remap, per-node by design)
-                node = PrefixTreeNode(frame, remapper.remap(child.tasks))
-                dst.children[frame] = node
-                rec(node, child)
-
-        rec(out.root, root_tree.root)
-        return out
+        if not isinstance(root_tree, TreeArrays):
+            root_tree = TreeArrays.from_prefix_tree(
+                root_tree, kind=KIND_HIER, layout=layout)
+        dense = RankRemapper(layout, task_map).remap_rows(root_tree.labels)
+        return TreeArrays(KIND_DENSE, root_tree.frame_ids, root_tree.parents,
+                          root_tree.label_refs, root_tree.level_offsets,
+                          dense, width=task_map.total_tasks).to_prefix_tree()
 
 
 def merge_trees(scheme: LabelScheme,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.core.equivalence import path_order
 from repro.core.frames import StackTrace
 from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import DenseBitVector
@@ -60,16 +61,6 @@ class TreeQuery:
             if frame.function == function and \
                     (module is None or frame.module == module):
                 out.union_inplace(node.tasks)
-        return out
-
-    def terminal_tasks_at(self, path: StackTrace) -> DenseBitVector:
-        """Tasks whose traces *end* at this node (not deeper)."""
-        node = self.tree.find(path)
-        if node is None:
-            return DenseBitVector.empty(self.total_tasks)
-        out = node.tasks.copy()
-        for child in node.children.values():
-            out = out - child.tasks
         return out
 
     # -- composite triage questions ---------------------------------------------
@@ -119,7 +110,7 @@ class TreeQuery:
             if not any(rank in child.tasks
                        for child in node.children.values()):
                 paths.append(path)
-        return sorted(paths, key=lambda p: tuple(f.function for f in p))
+        return sorted(paths, key=path_order)
 
     def class_of(self, rank: int) -> DenseBitVector:
         """All tasks behaviourally identical to ``rank`` (same paths)."""

@@ -60,6 +60,13 @@ def _pack_indices(indices: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(bits) if width else np.zeros(0, dtype=np.uint8)
 
 
+def _unique_indices(values: Iterable[int]) -> np.ndarray:
+    """Sorted distinct int64 indices from any iterable (arrays unconverted)."""
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=np.int64)
+    return np.unique(np.asarray(values, dtype=np.int64))
+
+
 def _unpack(data: np.ndarray, width: int) -> np.ndarray:
     """Unpack a uint8 bit array into a boolean array of length ``width``."""
     if width == 0:
@@ -119,8 +126,9 @@ class DenseBitVector:
 
     @classmethod
     def from_ranks(cls, ranks: Iterable[int], width: int) -> "DenseBitVector":
-        """Vector with exactly the given global ranks set."""
-        idx = np.asarray(sorted(set(int(r) for r in ranks)), dtype=np.int64)
+        """Vector with exactly the given global ranks set (duplicates and
+        order are irrelevant)."""
+        idx = _unique_indices(ranks)
         if idx.size and (idx[0] < 0 or idx[-1] >= width):
             raise ValueError(
                 f"rank out of range [0, {width}): {idx[0 if idx[0] < 0 else -1]}")
@@ -473,7 +481,7 @@ class HierarchicalTaskSet:
                    local_slots: Iterable[int]) -> "HierarchicalTaskSet":
         """Leaf label: ``local_slots`` are daemon-local indices, not ranks."""
         layout = DaemonLayout.for_daemon(daemon_id, width)
-        idx = np.asarray(sorted(set(int(s) for s in local_slots)), dtype=np.int64)
+        idx = _unique_indices(local_slots)
         if idx.size and (idx[0] < 0 or idx[-1] >= width):
             raise ValueError(f"local slot out of range [0, {width})")
         return cls(layout, _pack_indices(idx, width))
@@ -609,12 +617,18 @@ class RankRemapper:
     Built once per attach from the root layout and the gathered
     :class:`TaskMap` (paper: "we first collect the map information once
     during the setup phase and then perform a local remap during the final
-    result rendering"); thereafter :meth:`remap` converts any root-level
-    :class:`HierarchicalTaskSet` into a rank-ordered :class:`DenseBitVector`.
+    result rendering"); thereafter :meth:`remap_rows` converts a whole
+    matrix of root-level label rows into rank-ordered dense rows with one
+    column gather per chunk of rows, and :meth:`remap_many` / :meth:`remap`
+    wrap it for :class:`HierarchicalTaskSet` objects.
 
     At 208K tasks the paper measured this step at 0.66 s — benchmarked by
-    ``benchmarks/bench_claim_remap.py``.
+    ``benchmarks/bench_claims.py``.
     """
+
+    #: largest unpacked bit matrix (elements) one :meth:`remap_rows`
+    #: chunk may hold; bounds the kernel's transient memory
+    _REMAP_LIMIT = 1 << 22
 
     def __init__(self, layout: DaemonLayout, task_map: TaskMap) -> None:
         self.layout = layout
@@ -634,19 +648,58 @@ class RankRemapper:
             slot_to_rank[start_bit:start_bit + layout.widths[i]] = parts[i]
         self._slot_to_rank = slot_to_rank
         self.total_tasks = task_map.total_tasks
+        # The kernel gathers instead of scattering: rank_to_slot[r] is the
+        # slot holding rank r.  Ranks outside the layout (missing daemons)
+        # read slot ``nbits``, an always-zero column past every label row.
+        nbits = slot_to_rank.size
+        slots = np.nonzero(slot_to_rank >= 0)[0]
+        ranks = slot_to_rank[slots]
+        if ranks.size and int(ranks.max()) >= self.total_tasks:
+            raise ValueError(f"rank out of range [0, {self.total_tasks}): "
+                             f"{int(ranks.max())}")
+        rank_to_slot = np.full(self.total_tasks, nbits, dtype=np.int64)
+        rank_to_slot[ranks] = slots
+        if np.count_nonzero(rank_to_slot < nbits) != ranks.size:
+            raise ValueError("task map assigns a rank to more than one slot")
+        self._rank_to_slot = rank_to_slot
 
-    def remap(self, tset: HierarchicalTaskSet) -> DenseBitVector:
-        """Produce the rank-ordered full-width vector for one edge label."""
-        if tset.layout != self.layout:
-            raise ValueError("task set layout does not match remapper layout")
-        bits = np.unpackbits(tset.data).astype(bool)
-        ranks = self._slot_to_rank[np.nonzero(bits)[0]]
-        ranks = ranks[ranks >= 0]
-        return DenseBitVector.from_ranks(ranks, self.total_tasks)
+    @contract("labels:(n,b):uint8 -> dense:(n,d):uint8")
+    def remap_rows(self, labels: np.ndarray) -> np.ndarray:
+        """Rank-ordered dense rows for a matrix of root-layout label rows.
+
+        Per chunk of rows: unpack the bits (plus one zero byte, the
+        missing-rank column), gather the columns through the inverse slot
+        map, and pack again.  Row ``i`` of the result is the packed
+        job-width vector of row ``i`` of ``labels``.
+        """
+        n, nbytes = labels.shape
+        if nbytes != self.layout.nbytes:
+            raise ValueError("label rows do not match remapper layout")
+        out = np.empty((n, _packed_nbytes(self.total_tasks)), dtype=np.uint8)
+        step = max(1, self._REMAP_LIMIT
+                   // ((nbytes + 1) * 8 + self.total_tasks))
+        padded = np.zeros((min(n, step), nbytes + 1), dtype=np.uint8)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            padded[:hi - lo, :nbytes] = labels[lo:hi]
+            bits = np.unpackbits(padded[:hi - lo], axis=1)
+            out[lo:hi] = np.packbits(bits[:, self._rank_to_slot], axis=1)
+        return out
 
     def remap_many(self, tsets: Sequence[HierarchicalTaskSet]) -> List[DenseBitVector]:
         """Remap a batch of labels (the per-render workload of Section V-C)."""
-        return [self.remap(t) for t in tsets]
+        for tset in tsets:
+            if tset.layout != self.layout:
+                raise ValueError(
+                    "task set layout does not match remapper layout")
+        rows = np.stack([t.data for t in tsets]) if len(tsets) \
+            else np.zeros((0, self.layout.nbytes), dtype=np.uint8)
+        return [DenseBitVector(self.total_tasks, row)
+                for row in self.remap_rows(rows)]
+
+    def remap(self, tset: HierarchicalTaskSet) -> DenseBitVector:
+        """Produce the rank-ordered full-width vector for one edge label."""
+        return self.remap_many([tset])[0]
 
     def __repr__(self) -> str:
         return (f"RankRemapper(chunks={len(self.layout)}, "

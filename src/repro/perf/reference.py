@@ -2,13 +2,15 @@
 
 These are the per-object implementations the repo shipped before the
 vectorized rewrites landed — the recursive pairwise-union *merge*
-kernels, and the scalar-walk *build* path (one ``StackWalker.walk`` per
-slot/thread into ``PrefixTree`` slot trees).  They are kept for two
-jobs:
+kernels, the scalar-walk *build* path (one ``StackWalker.walk`` per
+slot/thread into ``PrefixTree`` slot trees), and the per-node
+*finalize* path (a recursive per-label rank remap and per-rank
+equivalence-class grouping).  They are kept for two jobs:
 
 * the equivalence property tests (``tests/test_merge_equivalence.py``,
-  ``tests/test_build_equivalence.py``) assert that the vectorized
-  kernels produce bit-identical trees on randomized inputs;
+  ``tests/test_build_equivalence.py``,
+  ``tests/test_finalize_equivalence.py``) assert that the vectorized
+  kernels produce bit-identical trees and classes on randomized inputs;
 * ``stat-repro bench`` measures the vectorized kernels *against* them
   and records the speedups in ``BENCH_merge.json`` /
   ``BENCH_build.json``.
@@ -18,20 +20,29 @@ Do not "improve" these: their value is being the frozen baseline.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.frames import Frame
+from repro.core.equivalence import EquivalenceClass, mpi_api_boundary
+from repro.core.frames import Frame, StackTrace
 from repro.lint.contracts import exempt
 from repro.core.prefix_tree import PrefixTree, PrefixTreeNode
-from repro.core.taskset import DaemonLayout, HierarchicalTaskSet
+from repro.core.taskset import (
+    DaemonLayout,
+    DenseBitVector,
+    HierarchicalTaskSet,
+    TaskMap,
+)
 
 __all__ = [
     "reference_dense_merge",
     "reference_hierarchical_merge",
     "reference_merge",
     "reference_daemon_trees",
+    "reference_hierarchical_finalize",
+    "reference_equivalence_classes",
+    "reference_triage_classes",
 ]
 
 
@@ -139,3 +150,118 @@ def reference_daemon_trees(daemon_id: int, task_map, scheme, stack_model,
         threads_per_process=threads_per_process)
     daemon.collect_samples(state_of, num_samples)
     return daemon.trees_arrays()
+
+
+# -- finalize: per-node rank remap and per-rank classes ----------------------
+
+def _reference_slot_to_rank(layout: DaemonLayout,
+                            task_map: TaskMap) -> np.ndarray:
+    """Padded-slot -> global rank table (padding slots = -1)."""
+    parts = []
+    for i, daemon_id in enumerate(layout.daemon_ids):
+        ranks = task_map.ranks_of(daemon_id)
+        if ranks.size != layout.widths[i]:
+            raise ValueError(
+                f"daemon {daemon_id}: layout width {layout.widths[i]} != "
+                f"task map size {ranks.size}")
+        parts.append(ranks)
+    slot_to_rank = np.full(layout.nbytes * 8, -1, dtype=np.int64)
+    for i in range(len(layout)):
+        start_bit = int(layout.byte_offsets[i]) * 8
+        slot_to_rank[start_bit:start_bit + layout.widths[i]] = parts[i]
+    return slot_to_rank
+
+
+def _reference_from_ranks(ranks, width: int) -> DenseBitVector:
+    """``DenseBitVector.from_ranks`` through a Python set."""
+    idx = np.asarray(sorted(set(int(r) for r in ranks)), dtype=np.int64)
+    if idx.size and (idx[0] < 0 or idx[-1] >= width):
+        raise ValueError(
+            f"rank out of range [0, {width}): {idx[0 if idx[0] < 0 else -1]}")
+    bits = np.zeros(width, dtype=np.uint8)
+    if idx.size:
+        bits[idx] = 1
+    data = np.packbits(bits) if width else np.zeros(0, dtype=np.uint8)
+    return DenseBitVector(width, data)
+
+
+def _reference_remap(slot_to_rank: np.ndarray, total_tasks: int,
+                     tset: HierarchicalTaskSet) -> DenseBitVector:
+    """One label: unpack, look up each set slot's rank, rebuild."""
+    bits = np.unpackbits(tset.data).astype(bool)
+    ranks = slot_to_rank[np.nonzero(bits)[0]]
+    ranks = ranks[ranks >= 0]
+    return _reference_from_ranks(ranks, total_tasks)
+
+
+@exempt
+def reference_hierarchical_finalize(root_tree, task_map: TaskMap) -> PrefixTree:
+    """Recursive front-end remap: one remap per node, fresh label each."""
+    from repro.core.treearrays import TreeArrays
+
+    if isinstance(root_tree, TreeArrays):
+        layout = root_tree.layout
+        root_tree = root_tree.to_prefix_tree()
+    else:
+        layout = _tree_layout(root_tree)
+    slot_to_rank = _reference_slot_to_rank(layout, task_map)
+    total = task_map.total_tasks
+    out = PrefixTree()
+
+    def rec(dst: PrefixTreeNode, src: PrefixTreeNode) -> None:
+        for frame, child in src.children.items():
+            if child.tasks.layout != layout:
+                raise ValueError(
+                    "task set layout does not match remapper layout")
+            node = PrefixTreeNode(
+                frame, _reference_remap(slot_to_rank, total, child.tasks))
+            dst.children[frame] = node
+            rec(node, child)
+
+    rec(out.root, root_tree.root)
+    return out
+
+
+@exempt
+def reference_equivalence_classes(
+        tree: PrefixTree,
+        rank_resolver: Optional[Callable[[object], np.ndarray]] = None,
+) -> List[EquivalenceClass]:
+    """Per-rank grouping: a dict of terminal paths per rank.
+
+    Paths inside a class are sorted by function names only; ties follow
+    ``frozenset`` iteration order, which depends on string hashing.
+    """
+    resolve = rank_resolver or (lambda label: label.to_ranks())
+    membership: Dict[int, List[StackTrace]] = {}
+    for path, node in tree.walk():
+        ranks = np.asarray(resolve(node.tasks))
+        if node.children:
+            child_ranks = np.unique(np.concatenate(
+                [np.asarray(resolve(c.tasks))
+                 for c in node.children.values()]))
+            terminal = np.setdiff1d(ranks, child_ranks)
+        else:
+            terminal = ranks
+        for rank in terminal:
+            membership.setdefault(int(rank), []).append(path)
+
+    groups: Dict[FrozenSet[StackTrace], List[int]] = {}
+    for rank, paths in membership.items():
+        groups.setdefault(frozenset(paths), []).append(rank)
+
+    classes = [
+        EquivalenceClass(
+            paths=tuple(sorted(key, key=lambda p: tuple(f.function for f in p))),
+            ranks=tuple(sorted(ranks)),
+        )
+        for key, ranks in groups.items()
+    ]
+    classes.sort(key=lambda c: (-c.size, c.representative))
+    return classes
+
+
+@exempt
+def reference_triage_classes(tree: PrefixTree) -> List[EquivalenceClass]:
+    """Per-rank classes at the MPI API boundary."""
+    return reference_equivalence_classes(tree.truncated(mpi_api_boundary))

@@ -35,6 +35,39 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DenseBitVector.from_ranks([-1], 16)
 
+    def test_from_ranks_out_of_range_message_names_offender(self):
+        with pytest.raises(ValueError, match=r"\[0, 16\): 20$"):
+            DenseBitVector.from_ranks(np.array([3, 20, 1]), 16)
+        with pytest.raises(ValueError, match=r"\[0, 16\): -2$"):
+            DenseBitVector.from_ranks((x for x in (4, -2, 40)), 16)
+
+    def test_from_ranks_unsorted_with_duplicates(self):
+        v = DenseBitVector.from_ranks([9, 2, 9, 0, 2, 12], 13)
+        assert v.to_ranks().tolist() == [0, 2, 9, 12]
+        assert v == DenseBitVector.from_ranks([0, 2, 9, 12], 13)
+
+    @pytest.mark.parametrize("make", [
+        lambda r: r,
+        lambda r: tuple(r),
+        lambda r: np.asarray(r, dtype=np.int64),
+        lambda r: np.asarray(r, dtype=np.int32),
+        lambda r: (x for x in r),
+        lambda r: set(r),
+    ], ids=["list", "tuple", "int64", "int32", "generator", "set"])
+    def test_from_ranks_input_kinds_agree(self, make):
+        ranks = [70, 3, 3, 0, 99, 41]
+        v = DenseBitVector.from_ranks(make(ranks), 100)
+        assert v.to_ranks().tolist() == [0, 3, 41, 70, 99]
+        assert v.data.dtype == np.uint8 and v.data.shape == (13,)
+
+    @pytest.mark.parametrize("empty", [[], (), np.zeros(0, dtype=np.int64),
+                                       iter(())],
+                             ids=["list", "tuple", "array", "iterator"])
+    def test_from_ranks_empty_input(self, empty):
+        v = DenseBitVector.from_ranks(empty, 12)
+        assert v == DenseBitVector.empty(12)
+        assert DenseBitVector.from_ranks(empty, 0).width == 0
+
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
             DenseBitVector(-1)
