@@ -5,7 +5,7 @@ Three layers, importable from this package:
 
 * :class:`SessionSpec` — a frozen, JSON-round-trippable description of
   one STAT session (machine, topology, scheme, launcher, staging, SBRS,
-  sampling, mapping, dead daemons, seed, workload).
+  sampling, mapping, seed, workload, fault plan).
 * :class:`SessionPipeline` — the launch → map_gather → stage → sample →
   merge → finalize phase chain over a shared :class:`SessionContext`,
   with :class:`PhaseObserver` hooks (progress, wall-clock timing, fault
@@ -25,7 +25,6 @@ Quickstart::
 """
 
 from repro.api.pipeline import (
-    DaemonKillObserver,
     PHASES,
     PhaseObserver,
     PipelineError,
@@ -62,7 +61,6 @@ __all__ = [
     "PhaseObserver",
     "TimingObserver",
     "ProgressObserver",
-    "DaemonKillObserver",
     "PHASES",
     "ScenarioSuite",
     "ScenarioOutcome",

@@ -6,7 +6,8 @@ into six named phase objects sharing one :class:`SessionContext`.  Each
 phase is individually invokable (``pipeline.run_phase("launch")``), the
 whole chain is :meth:`SessionPipeline.run`, and observers get a hook
 before and after every phase — enough for progress reporting, wall-clock
-capture, and fault injection (e.g. killing daemons just before the merge).
+capture, and fault injection (e.g. extending ``ctx.fault_plan`` with
+crashes just before the merge).
 
 The phase semantics and timing keys are *identical* to the monolith:
 ``launch``, ``map_gather``, ``sbrs`` (stage, only when SBRS is on),
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.equivalence import EquivalenceClass, triage_classes
 from repro.core.merge import LabelScheme
@@ -43,9 +44,10 @@ from repro.perf.counters import (
     pipeline_wall_seconds,
 )
 from repro.sim.engine import Engine
+from repro.sim.random import SeedStream
 from repro.statbench.emulator import DaemonTrees, STATBenchEmulator
 from repro.statbench.generator import StateProvider
-from repro.tbon.network import DaemonFailure, ReduceResult, TBONetwork
+from repro.tbon.network import ReduceResult, TBONetwork
 from repro.tbon.streaming import StreamConfig, StreamingTBON
 from repro.tbon.topology import Topology
 
@@ -55,7 +57,6 @@ __all__ = [
     "PhaseObserver",
     "TimingObserver",
     "ProgressObserver",
-    "DaemonKillObserver",
     "SessionPipeline",
     "PipelineError",
     "PHASES",
@@ -72,8 +73,8 @@ class SessionContext:
 
     The first block is configuration (filled before the run); the second
     is the per-phase products.  Observers may mutate configuration fields
-    that later phases read — e.g. adding to ``dead_daemons`` before the
-    merge phase models daemons dying mid-session.
+    that later phases read — e.g. adding crashes to ``fault_plan`` before
+    the merge phase models daemons dying mid-session.
     """
 
     # -- configuration ----------------------------------------------------
@@ -89,13 +90,13 @@ class SessionContext:
     use_sbrs: bool = False
     sampling_config: Optional[SamplingConfig] = None
     mapping: str = "cyclic"
-    dead_daemons: Set[int] = field(default_factory=set)
     #: event-driven merge: daemons emit asynchronously and interior
     #: nodes fold arrivals incrementally (bit-identical final tree)
     stream: bool = False
     stream_config: Optional[StreamConfig] = None
-    #: declarative seeded fault campaign; ``None`` / empty plan is a
-    #: guaranteed no-op (bit-identical results)
+    #: declarative seeded fault campaign, the only way to declare a
+    #: failure; ``None`` / empty plan is a guaranteed no-op
+    #: (bit-identical results)
     fault_plan: Optional[FaultPlan] = None
 
     # -- products (one per phase, in order) -------------------------------
@@ -113,8 +114,6 @@ class SessionContext:
     config: Optional[SamplingConfig] = None
     sampling: Optional[SamplingTimeReport] = None
     emulator: Optional[STATBenchEmulator] = None
-    #: a StreamResult when ``stream`` is on, else a ReduceResult —
-    #: field-compatible where later phases read it
     merge: Optional[ReduceResult] = None
     #: the bound injector when a non-empty fault plan ran the merge
     fault_injector: Optional[FaultInjector] = None
@@ -200,32 +199,6 @@ class ProgressObserver(PhaseObserver):
                         f"daemons merged at t={info['sim_time']:.4f}s")
 
 
-class DaemonKillObserver(PhaseObserver):
-    """Fault injection: kill daemons right before a chosen phase.
-
-    Models daemons dying mid-session — after launch succeeded but before
-    the merge needs their subtrees (``before="merge"``, the default).
-
-    .. deprecated::
-        This is now a thin shim over :class:`repro.faults.plan.FaultPlan`
-        — it extends the context's plan with crash-at-t=0 entries, which
-        the merge phase resolves to the same dead set and detection
-        charge as before.  Prefer declaring crashes on
-        ``SessionSpec.faults`` directly: plans are serializable,
-        sweepable, and replayable; this observer is not.
-    """
-
-    def __init__(self, daemon_ids: Sequence[int],
-                 before: str = "merge") -> None:
-        self.daemon_ids = set(int(d) for d in daemon_ids)
-        self.before = before
-
-    def on_phase_start(self, phase: str, ctx: SessionContext) -> None:
-        if phase == self.before:
-            base = ctx.fault_plan or FaultPlan(seed=ctx.seed)
-            ctx.fault_plan = base.with_crashes(sorted(self.daemon_ids))
-
-
 class Phase:
     """One named, individually-invokable pipeline step."""
 
@@ -242,8 +215,12 @@ class LaunchPhase(Phase):
     name = "launch"
 
     def run(self, ctx: SessionContext) -> None:
-        ctx.launch = ctx.launcher.launch(ctx.machine, ctx.topology,
-                                         mapping=ctx.mapping)
+        # A shuffled map draws from its own labelled child of the session
+        # seed, never from the launcher's jitter rng, so launch timings
+        # do not depend on the mapping.
+        ctx.launch = ctx.launcher.launch(
+            ctx.machine, ctx.topology, mapping=ctx.mapping,
+            map_rng=SeedStream(ctx.seed).child("task-map").rng("shuffled"))
         ctx.timings["launch"] = ctx.launch.sim_time
         assert ctx.launch.process_table is not None
         ctx.task_map = ctx.launch.process_table.task_map
@@ -317,14 +294,13 @@ class MergePhase(Phase):
             threads_per_process=ctx.config.threads_per_process,
             seed=ctx.seed)
         injector = None
+        dead: set = set()
         if ctx.fault_plan is not None and not ctx.fault_plan.empty:
             injector = ctx.fault_plan.bind(len(ctx.task_map))
             ctx.fault_injector = injector
-        dead = set(ctx.dead_daemons)
-        if injector is not None:
             # Crashes at t<=0 are gone before the merge starts: exclude
-            # them from the forest build like spec-level dead_daemons.
-            dead |= injector.dead_at_start()
+            # them from the forest build.
+            dead = injector.dead_at_start()
         emulator = ctx.emulator
 
         # Build the whole forest up front through the vectorized forest
@@ -332,38 +308,24 @@ class MergePhase(Phase):
         # excluded so emulation counters match the lazy per-rank path).
         live = [d for d in range(len(ctx.task_map)) if d not in dead]
         forest = dict(zip(live, emulator.build_forest(daemon_ids=live)))
-
-        def leaf_payload(rank: int) -> DaemonTrees:
-            if rank in dead:
-                raise DaemonFailure(f"daemon {rank} unreachable")
-            return forest[rank]
-
+        kwargs = dict(
+            leaf_payload_fn=forest.__getitem__,
+            merge_fn=emulator.merge_filter(),
+            payload_nbytes=DaemonTrees.serialized_bytes,
+            payload_nodes=DaemonTrees.node_count,
+            faults=injector,
+        )
         if ctx.stream:
             # Event-driven variant: asynchronous emissions, incremental
-            # folds, missing-ranklist degradation.  Bit-identical final
-            # tree; StreamResult is field-compatible downstream.
+            # folds; bit-identical final tree.
             network = StreamingTBON(ctx.topology, ctx.machine)
             ctx.merge = network.reduce(
-                leaf_payload_fn=leaf_payload,
-                merge_fn=emulator.merge_filter(),
-                payload_nbytes=DaemonTrees.serialized_bytes,
-                payload_nodes=DaemonTrees.node_count,
-                on_daemon_failure="skip",
+                **kwargs,
                 config=ctx.stream_config or StreamConfig(seed=ctx.seed),
-                progress_fn=ctx.progress_sink,
-                faults=injector,
-            )
+                progress_fn=ctx.progress_sink)
         else:
             network = TBONetwork(ctx.topology, ctx.machine)
-            skip = bool(dead) or injector is not None
-            ctx.merge = network.reduce(
-                leaf_payload_fn=leaf_payload,
-                merge_fn=emulator.merge_filter(),
-                payload_nbytes=DaemonTrees.serialized_bytes,
-                payload_nodes=DaemonTrees.node_count,
-                on_daemon_failure="skip" if skip else "raise",
-                faults=injector,
-            )
+            ctx.merge = network.reduce(**kwargs)
         ctx.timings["merge"] = ctx.merge.sim_time
 
 
@@ -441,7 +403,6 @@ class SessionPipeline:
             use_sbrs=spec.use_sbrs,
             sampling_config=spec.sampling,
             mapping=spec.mapping,
-            dead_daemons=set(spec.dead_daemons),
             fault_plan=spec.faults,
         )
         return cls(ctx, observers=observers)
@@ -456,10 +417,6 @@ class SessionPipeline:
     def remaining(self) -> Tuple[str, ...]:
         """Names of the phases not yet run, in order."""
         return tuple(p.name for p in PHASES[self._next:])
-
-    def add_observer(self, observer: PhaseObserver) -> None:
-        """Attach another observer (applies to phases not yet run)."""
-        self.observers.append(observer)
 
     # -- execution ---------------------------------------------------------
     def run_phase(self, name: str) -> SessionContext:

@@ -2,7 +2,7 @@
 
 A :class:`SessionSpec` captures *everything* one STAT session needs —
 machine, topology shape, label scheme, launcher, staging mount, SBRS,
-sampling knobs, rank mapping, dead daemons, seed, and workload id — as a
+sampling knobs, rank mapping, fault plan, seed, and workload id — as a
 frozen dataclass with a loss-free JSON round trip.  Scenarios become
 files, not code: the CLI (``stat-repro run --spec file.json``), the batch
 runner (:class:`~repro.api.suite.ScenarioSuite`), and the session archive
@@ -96,9 +96,8 @@ class SessionSpec:
     num_samples:
         Shortcut when ``sampling`` is ``None``.
     mapping:
-        Resource-manager rank placement (``"cyclic"`` exercises the remap).
-    dead_daemons:
-        Daemon ids that died after launch (degraded merge).
+        Resource-manager rank placement (``"cyclic"`` exercises the remap;
+        ``"shuffled"`` draws its map from ``seed``).
     seed:
         Master seed for jitter, workload generation, and emulation.
     workload:
@@ -115,6 +114,8 @@ class SessionSpec:
         drop/corruption, stragglers, pool-worker kills) replayed
         bit-identically from its own seed.  ``None`` (and the empty
         plan) leaves every result bit-identical to a fault-free run.
+        This is the only way to declare a failure; a serialized spec's
+        legacy ``"dead_daemons"`` list parses into t=0 crashes here.
     """
 
     machine: str
@@ -129,7 +130,6 @@ class SessionSpec:
     sampling: Optional[SamplingConfig] = None
     num_samples: int = 10
     mapping: str = "cyclic"
-    dead_daemons: Tuple[int, ...] = ()
     seed: int = 208_000
     workload: str = "ring_hang"
     stop_after: Optional[str] = None
@@ -163,9 +163,6 @@ class SessionSpec:
             raise SpecValidationError(
                 f"stop_after must be one of {PHASE_NAMES}, "
                 f"got {self.stop_after!r}")
-        # Normalize dead_daemons to a sorted tuple of ints.
-        dead = tuple(sorted(int(d) for d in self.dead_daemons))
-        object.__setattr__(self, "dead_daemons", dead)
         if self.sampling is not None and \
                 not isinstance(self.sampling, SamplingConfig):
             raise SpecValidationError(
@@ -195,8 +192,6 @@ class SessionSpec:
             value = getattr(self, f.name)
             if f.name == "sampling" and value is not None:
                 value = dataclasses.asdict(value)
-            elif f.name == "dead_daemons":
-                value = list(value)
             elif f.name == "machine_options" and value is not None:
                 value = dict(value)
             elif f.name == "faults" and value is not None:
@@ -206,7 +201,13 @@ class SessionSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SessionSpec":
-        """Rebuild a spec from :meth:`to_dict` output (strict on keys)."""
+        """Rebuild a spec from :meth:`to_dict` output (strict on keys).
+
+        Specs written before fault plans existed carry a
+        ``"dead_daemons"`` list; it folds into ``faults`` as crash-at-t=0
+        entries, so those specs and the archives embedding them still
+        load and replay.
+        """
         if not isinstance(data, dict):
             raise SpecValidationError(
                 f"spec must be a JSON object, got {type(data).__name__}")
@@ -216,6 +217,13 @@ class SessionSpec:
             raise SpecValidationError(
                 f"unsupported spec_version {version!r} "
                 f"(this build reads {SPEC_VERSION})")
+        dead = data.pop("dead_daemons", None)
+        if dead is not None and (
+                not isinstance(dead, (list, tuple)) or
+                not all(isinstance(r, int) and not isinstance(r, bool)
+                        for r in dead)):
+            raise SpecValidationError(
+                f"dead_daemons must be a list of daemon ids, got {dead!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -231,8 +239,6 @@ class SessionSpec:
                 raise SpecValidationError(
                     f"unknown sampling fields: {sorted(bad)}")
             data["sampling"] = SamplingConfig(**sampling)
-        if data.get("dead_daemons") is not None:
-            data["dead_daemons"] = tuple(data["dead_daemons"])
         if data.get("faults") is not None:
             try:
                 data["faults"] = FaultPlan.from_dict(data["faults"])
@@ -240,9 +246,18 @@ class SessionSpec:
                 raise SpecValidationError(
                     f"invalid faults plan: {err}") from err
         try:
-            return cls(**data)
+            spec = cls(**data)
         except TypeError as err:
             raise SpecValidationError(str(err)) from err
+        if dead:
+            try:
+                faults = (spec.faults or FaultPlan(seed=spec.seed)) \
+                    .with_crashes(dead)
+            except FaultPlanError as err:
+                raise SpecValidationError(
+                    f"invalid dead_daemons: {err}") from err
+            spec = spec.replace(faults=faults)
+        return spec
 
     def to_json(self, indent: int = 2) -> str:
         """Serialize to a JSON document."""

@@ -156,13 +156,13 @@ class STATFrontEnd:
                  use_sbrs: bool = False,
                  sampling_config: Optional[SamplingConfig] = None,
                  mapping: str = "cyclic",
-                 dead_daemons: Optional[set] = None,
                  observers: Sequence = ()) -> "SessionPipeline":  # noqa: F821
         """A ready-to-run :class:`~repro.api.pipeline.SessionPipeline`.
 
         Same parameters as :meth:`attach_and_analyze`, but the phases are
         yours to drive — run them one at a time, attach observers, inject
-        faults between phases.
+        faults between phases (set ``pipeline.ctx.fault_plan`` to a
+        :class:`~repro.faults.plan.FaultPlan` before the merge).
         """
         from repro.api.pipeline import SessionContext, SessionPipeline
         ctx = SessionContext(
@@ -178,7 +178,6 @@ class STATFrontEnd:
             use_sbrs=use_sbrs,
             sampling_config=sampling_config,
             mapping=mapping,
-            dead_daemons=set(dead_daemons or ()),
         )
         return SessionPipeline(ctx, observers=observers)
 
@@ -187,8 +186,7 @@ class STATFrontEnd:
                            staging: str = "nfs",
                            use_sbrs: bool = False,
                            sampling_config: Optional[SamplingConfig] = None,
-                           mapping: str = "cyclic",
-                           dead_daemons: Optional[set] = None) -> STATResult:
+                           mapping: str = "cyclic") -> STATResult:
         """One full session against a (hung) application.
 
         Parameters
@@ -206,10 +204,11 @@ class STATFrontEnd:
         mapping:
             Resource-manager rank placement; ``"cyclic"`` (non-rank-order)
             exercises the remap step like the paper's Figure 6.
-        dead_daemons:
-            Daemon ids that died after launch; the merge proceeds without
-            their subtrees (degraded session), their tasks are absent from
-            the trees, and ``result.merge.missing_daemons`` records them.
+
+        Degraded sessions (daemons dying after launch) declare their
+        crashes in a :class:`~repro.faults.plan.FaultPlan`: on a
+        :class:`~repro.api.spec.SessionSpec`'s ``faults``, or on the
+        context of :meth:`pipeline` before its merge phase runs.
         """
         return self.pipeline(
             state_of,
@@ -218,7 +217,6 @@ class STATFrontEnd:
             use_sbrs=use_sbrs,
             sampling_config=sampling_config,
             mapping=mapping,
-            dead_daemons=dead_daemons,
         ).run()
 
     def run(self, workload, **kwargs) -> STATResult:

@@ -10,7 +10,7 @@ varying-depth ``BGLML`` progress recursion below).
 from __future__ import annotations
 
 from repro.core.frontend import STATFrontEnd
-from repro.core.visualize import to_ascii, to_dot
+from repro.core.visualize import to_ascii
 from repro.experiments.common import ExperimentResult, Row
 from repro.machine.bgl import BGLMachine
 from repro.statbench import ring_hang_states
@@ -45,10 +45,3 @@ def run(quick: bool = False, seed: int = 208_000) -> ExperimentResult:
         c.label() for c in session.classes))
     return result
 
-
-def dot_source(seed: int = 208_000) -> str:
-    """Graphviz source of the full Figure 1 tree (for examples/docs)."""
-    machine = BGLMachine.with_io_nodes(16, "co")
-    fe = STATFrontEnd(machine, seed=seed)
-    session = fe.attach_and_analyze(ring_hang_states(machine.total_tasks))
-    return to_dot(session.tree_3d, graph_name="figure1_3d_tree")

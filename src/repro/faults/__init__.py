@@ -14,6 +14,7 @@ it depends on the TBO̅N and benchmark layers).
 
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import (
+    FAILURE_DETECT_S,
     PLAN_VERSION,
     DaemonCrash,
     DaemonStall,
@@ -29,6 +30,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
+    "FAILURE_DETECT_S",
     "PLAN_VERSION",
     "DaemonCrash",
     "DaemonStall",

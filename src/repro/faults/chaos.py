@@ -165,7 +165,6 @@ def _case_outcome(mode: str, topology: Topology, machine,
         merge_fn=merge_fn,
         payload_nbytes=DaemonTrees.serialized_bytes,
         payload_nodes=DaemonTrees.node_count,
-        on_daemon_failure="skip",
         faults=injector,
     )
     try:
@@ -207,7 +206,6 @@ def _check_stream_monotone(topology: Topology, machine, plan: FaultPlan,
         merge_fn=merge_fn,
         payload_nbytes=DaemonTrees.serialized_bytes,
         payload_nodes=DaemonTrees.node_count,
-        on_daemon_failure="skip",
         config=StreamConfig(seed=scheme_seed),
         faults=plan.bind(daemons),
     )
@@ -227,28 +225,17 @@ def _check_stream_monotone(topology: Topology, machine, plan: FaultPlan,
     return None
 
 
-def run_chaos(plans: int = 200, daemons: int = 8, samples: int = 2,
-              seed: int = 208_000, max_seconds: Optional[float] = None,
-              progress=None) -> ChaosReport:
-    """Sweep ``plans`` randomized fault campaigns; assert invariants.
+def _sweep_setup(daemons: int, samples: int, seed: int):
+    """``(machine, schemes, combos)`` shared by every case of a sweep.
 
-    Every case is deterministic for ``(seed, index)``: the plan is drawn
-    from a labelled :class:`SeedStream`, bound, and run **twice** — the
-    two runs must agree bit-for-bit.  ``max_seconds`` bounds the sweep's
-    wall clock (the never-hangs backstop); exceeding it fails the
-    report.
+    ``schemes`` maps a label-scheme name to its ``(forest, merge_fn)``,
+    built once (the merge kernels never mutate their inputs); ``combos``
+    lists every ``(topology name, topology, scheme name, mode)``, and
+    case ``i`` runs ``combos[i % len(combos)]``.
     """
-    if plans < 1 or daemons < 2 or samples < 1:
-        raise ValueError("plans >= 1, daemons >= 2, samples >= 1 required")
-    report = ChaosReport(seed=seed, daemons=daemons, samples=samples,
-                         plans_requested=plans)
-    start = time.perf_counter()
     machine = BGLMachine.with_io_nodes(daemons, "vn")
     tasks = daemons * VN_TASKS_PER_DAEMON
     task_map = TaskMap.block(daemons, VN_TASKS_PER_DAEMON)
-
-    # Forest + merge filter built once per scheme; every case reuses
-    # them (the merge kernels never mutate their inputs).
     schemes = {}
     for scheme in (HierarchicalLabelScheme(), DenseLabelScheme(tasks)):
         emulator = STATBenchEmulator(
@@ -265,6 +252,34 @@ def run_chaos(plans: int = 200, daemons: int = 8, samples: int = 2,
               for topo_name, topo in topologies
               for scheme_name in sorted(schemes)
               for mode in ("batch", "stream")]
+    return machine, schemes, combos
+
+
+def _draw_plan(seed: int, index: int,
+               daemons: int) -> Tuple[int, FaultPlan]:
+    """Case ``index``'s ``(plan seed, plan)``, from a labelled stream."""
+    rng = SeedStream(seed).child(f"plan/{index}").rng("draw")
+    plan_seed = int(rng.integers(0, 2 ** 31))
+    return plan_seed, FaultPlan.random(rng, daemons, seed=plan_seed)
+
+
+def run_chaos(plans: int = 200, daemons: int = 8, samples: int = 2,
+              seed: int = 208_000, max_seconds: Optional[float] = None,
+              progress=None) -> ChaosReport:
+    """Sweep ``plans`` randomized fault campaigns; assert invariants.
+
+    Every case is deterministic for ``(seed, index)``: the plan is drawn
+    from a labelled :class:`SeedStream`, bound, and run **twice** — the
+    two runs must agree bit-for-bit.  ``max_seconds`` bounds the sweep's
+    wall clock (the never-hangs backstop); exceeding it fails the
+    report.
+    """
+    if plans < 1 or daemons < 2 or samples < 1:
+        raise ValueError("plans >= 1, daemons >= 2, samples >= 1 required")
+    report = ChaosReport(seed=seed, daemons=daemons, samples=samples,
+                         plans_requested=plans)
+    start = time.perf_counter()
+    machine, schemes, combos = _sweep_setup(daemons, samples, seed)
 
     # Empty-plan no-op gate, once per combination: binding an empty
     # plan must not perturb a single bit of the fault-free run.
@@ -295,9 +310,7 @@ def run_chaos(plans: int = 200, daemons: int = 8, samples: int = 2,
             break
         topo_name, topo, scheme_name, mode = combos[i % len(combos)]
         forest, merge_fn = schemes[scheme_name]
-        rng = SeedStream(seed).child(f"plan/{i}").rng("draw")
-        plan_seed = int(rng.integers(0, 2 ** 31))
-        plan = FaultPlan.random(rng, daemons, seed=plan_seed)
+        plan_seed, plan = _draw_plan(seed, i, daemons)
         case = ChaosCase(index=i, topology=topo_name, scheme=scheme_name,
                          mode=mode, plan_seed=plan_seed)
         report.cases.append(case)

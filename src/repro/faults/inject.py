@@ -14,6 +14,7 @@ import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.faults.plan import (
+    FAILURE_DETECT_S,
     FaultPlan,
     RetryPolicy,
     corrupted_checksum,
@@ -151,25 +152,26 @@ class FaultInjector:
                     self.note("daemon_stall")
         return out
 
-    def leaf_outcome(self, rank: int, ready: float, policy: RetryPolicy,
-                     detect_s: float) -> Tuple[float, bool, int]:
+    def leaf_outcome(self, rank: int, ready: float,
+                     policy: RetryPolicy) -> Tuple[float, bool, int]:
         """Resolve crash/stall/straggler faults for one daemon's emit.
 
         Returns ``(time, alive, retries_spent)``.  When ``alive`` the
         payload is available at ``time`` (transient delays absorbed via
         bounded retry windows); otherwise the daemon is lost and
-        ``time`` is when its parent gives up — crash-detection timeout
-        for a crash, or the exhausted retry budget's end for a stall
-        that outlasted it.
+        ``time`` is when its parent gives up — the
+        :data:`~repro.faults.plan.FAILURE_DETECT_S` timeout after a
+        crash, or the exhausted retry budget's end for a stall that
+        outlasted it.
         """
         crash = self.crash_time(rank)
         if crash <= max(ready, 0.0):
             self.note("daemon_crash")
-            return max(crash, 0.0) + detect_s, False, 0
+            return max(crash, 0.0) + FAILURE_DETECT_S, False, 0
         delayed = self.delayed_ready(rank, ready)
         if crash <= delayed:
             self.note("daemon_crash")
-            return max(crash, 0.0) + detect_s, False, 0
+            return max(crash, 0.0) + FAILURE_DETECT_S, False, 0
         if delayed > ready:
             when, spent, ok = policy.absorb(ready, delayed)
             if not ok:
@@ -179,13 +181,6 @@ class FaultInjector:
         return ready, True, 0
 
     # -- link faults -------------------------------------------------------
-    @property
-    def links_active(self) -> bool:
-        """True when any link fault has a positive probability."""
-        return (any(self._link_global)
-                or any(any(p) for _, p in
-                       sorted(self._link_by_node.items())))
-
     def link_params(self, node_id: int) -> Optional[Tuple[float, float]]:
         """(drop_p, corrupt_p) on ``node_id``'s ingress links, or None."""
         params = self._link_by_node.get(node_id, self._link_global)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import pickle
 import zlib
 from dataclasses import dataclass, fields
@@ -54,10 +53,15 @@ __all__ = [
     "DegradationReport",
     "payload_checksum",
     "PLAN_VERSION",
+    "FAILURE_DETECT_S",
 ]
 
 #: Version stamp written into :meth:`FaultPlan.to_dict` output.
 PLAN_VERSION = 1
+
+#: Socket timeout (simulated seconds) before a parent declares a crashed
+#: child dead; also the default per-attempt :class:`RetryPolicy` timeout.
+FAILURE_DETECT_S = 5.0
 
 #: XOR mask modelling in-flight bit corruption of a payload checksum.
 _CORRUPT_MASK = 0xA5A5_A5A5
@@ -91,13 +95,12 @@ class RetryPolicy:
     ``backoff_base_s * backoff_mult ** attempt`` before re-polling, up
     to ``max_retries`` times.  Transient faults that resolve inside the
     budget are absorbed; exhausted budgets degrade the subtree to
-    ``missing_daemons``.  ``timeout_s`` defaults to the legacy
-    ``failure_detect_s`` socket timeout so a plan-free reduction charges
-    exactly what it always did.
+    ``missing_daemons``.  ``timeout_s`` defaults to the crash-detection
+    socket timeout :data:`FAILURE_DETECT_S`.
     """
 
     max_retries: int = 2
-    timeout_s: float = 5.0
+    timeout_s: float = FAILURE_DETECT_S
     backoff_base_s: float = 0.5
     backoff_mult: float = 2.0
 
@@ -150,9 +153,9 @@ class DaemonCrash:
     """Permanent daemon death at simulated time ``time``.
 
     ``time <= 0`` means the daemon is already gone when the merge phase
-    starts (the :class:`~repro.api.pipeline.DaemonKillObserver` shim
-    emits exactly this); a positive time kills it before it can emit —
-    its parent charges the detection timeout and degrades.
+    starts (what a spec's legacy ``"dead_daemons"`` list parses into); a
+    positive time kills it before it can emit.  Either way its parent
+    charges the :data:`FAILURE_DETECT_S` detection timeout and degrades.
     """
 
     kind: ClassVar[str] = "daemon_crash"
@@ -494,14 +497,15 @@ class DegradationReport:
     @classmethod
     def from_merge(cls, merge: Any, daemons: int,
                    injector: Optional[Any] = None) -> "DegradationReport":
-        """Derive a report from a reduce/stream result (+ injector)."""
+        """Derive a report from a :class:`~repro.tbon.network.ReduceResult`
+        (batch or streamed) and the bound injector, if any."""
         return cls(
             daemons=daemons,
-            missing_daemons=tuple(sorted(merge.missing_daemons)),
-            missing_subtrees=getattr(merge, "missing_subtrees", 0),
-            retries=getattr(merge, "retries", 0),
-            dropped_messages=getattr(merge, "dropped_messages", 0),
-            corrupt_detected=getattr(merge, "corrupt_detected", 0),
+            missing_daemons=tuple(merge.missing_daemons),
+            missing_subtrees=merge.missing_subtrees,
+            retries=merge.retries,
+            dropped_messages=merge.dropped_messages,
+            corrupt_detected=merge.corrupt_detected,
             faults_injected=(injector.injected
                              if injector is not None else 0),
             faults_absorbed=(injector.absorbed
@@ -545,8 +549,3 @@ class DegradationReport:
                 f"{self.missing_subtrees} subtrees lost, "
                 f"{self.faults_absorbed}/{self.faults_injected} "
                 f"faults absorbed")
-
-
-# Keep the checksum helpers importable without the math module warning
-# tripping static analysis: math.inf is used by the injector.
-INFINITY = math.inf

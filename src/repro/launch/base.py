@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.launch.process_table import ProcessTable
 from repro.machine.base import MachineModel
 from repro.tbon.topology import Topology
@@ -70,13 +72,17 @@ class Launcher:
     name = "abstract"
 
     def launch(self, machine: MachineModel, topology: Topology,
-               mapping: str = "block") -> LaunchResult:
+               mapping: str = "block",
+               map_rng: Optional[np.random.Generator] = None
+               ) -> LaunchResult:
         """Perform startup; raises :class:`LaunchError` on failure.
 
         ``mapping`` selects how the resource manager assigns MPI ranks to
         daemons ("block", "cyclic", or "shuffled") — the task map inside
         the returned :class:`~repro.launch.process_table.ProcessTable` is
-        what the front end's remap step must later undo.
+        what the front end's remap step must later undo.  ``map_rng``
+        draws the ``"shuffled"`` map, which cannot be built without it;
+        it is never the launcher's own jitter ``rng``.
         """
         raise NotImplementedError
 

@@ -67,7 +67,9 @@ class BglSystemLauncher(Launcher):
         self.name = f"bgl-ciod-{'patched' if patched else 'prepatch'}"
 
     def launch(self, machine: MachineModel, topology: Topology,
-               mapping: str = "block") -> LaunchResult:
+               mapping: str = "block",
+               map_rng: Optional[np.random.Generator] = None
+               ) -> LaunchResult:
         """Application launch under tool control + daemons + CPs + connect."""
         num_daemons = topology.num_daemons
         num_procs = machine.total_tasks
@@ -111,7 +113,7 @@ class BglSystemLauncher(Launcher):
                 "jitter": jitter,
             },
             process_table=build_process_table(
-                num_daemons, machine.tasks_per_daemon, mapping, rng=self.rng),
+                num_daemons, machine.tasks_per_daemon, mapping, rng=map_rng),
             daemons_launched=num_daemons,
             cps_launched=num_cps,
         )

@@ -53,7 +53,9 @@ class LaunchMonLauncher(Launcher):
         self.rng = rng
 
     def launch(self, machine: MachineModel, topology: Topology,
-               mapping: str = "block") -> LaunchResult:
+               mapping: str = "block",
+               map_rng: Optional[np.random.Generator] = None
+               ) -> LaunchResult:
         """Bulk-launch daemons via the RM; CPs still spawn individually.
 
         Decoupling daemon launching from the tool also means the front end
@@ -81,7 +83,7 @@ class LaunchMonLauncher(Launcher):
                 "tool.connect": t_connect,
             },
             process_table=build_process_table(
-                num_daemons, machine.tasks_per_daemon, mapping, rng=self.rng),
+                num_daemons, machine.tasks_per_daemon, mapping, rng=map_rng),
             daemons_launched=num_daemons,
             cps_launched=num_cps,
         )

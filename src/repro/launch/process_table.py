@@ -12,9 +12,10 @@ co-located processes.  Two aspects matter to the paper:
   ``strcat``-style string packing, "which scans the buffer for the string
   termination character": appending rank *i*'s entry re-scanned the *i-1*
   entries already packed, an O(P^2) total that IBM's patches later removed
-  (Section IV-A).  :func:`pack_table` really performs both packings so the
-  asymptotic difference is executable, while the launchers charge the
-  simulated clock with calibrated constants.
+  (Section IV-A).  :func:`pack_table` really performs both packings and
+  :func:`pack_scan_bytes` counts the buffer bytes each one reads, so the
+  asymptotic difference is executable and measurable, while the launchers
+  charge the simulated clock with calibrated constants.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from repro.core.taskset import TaskMap
 
-__all__ = ["ProcessTable", "build_process_table", "pack_table"]
+__all__ = ["ProcessTable", "build_process_table", "pack_table",
+           "pack_scan_bytes"]
 
 
 @dataclass
@@ -99,18 +101,35 @@ def pack_table(table: ProcessTable, use_strcat: bool = False) -> bytes:
     bytes; tests assert the equality and benchmarks can measure the real
     asymptotic gap on small tables.
     """
+    return _pack(table, use_strcat)[0]
+
+
+def pack_scan_bytes(table: ProcessTable, use_strcat: bool = False) -> int:
+    """Buffer bytes :func:`pack_table` reads while packing ``table``.
+
+    A deterministic cost measure: the cursor path reads each record once,
+    while the strcat path re-reads the whole accumulated buffer on every
+    append.
+    """
+    return _pack(table, use_strcat)[1]
+
+
+def _pack(table: ProcessTable, use_strcat: bool) -> Tuple[bytes, int]:
+    """``(packed bytes, buffer bytes read)`` for one packing."""
     records = [
         f"{rank}:{daemon}:{slot}:{pid};".encode()
         for rank, (daemon, slot, pid) in enumerate(table.entries)
     ]
     if not use_strcat:
-        return b"".join(records)
+        return b"".join(records), sum(len(record) for record in records)
 
     # Pre-patch behaviour: strcat() must find the end of `buffer` by
     # scanning it on every call.  bytes.find is the scan; the concatenation
     # reallocates like the undersized-buffer reallocations IBM removed.
     buffer = bytearray(b"\x00")
+    scanned = 0
     for record in records:
+        scanned += len(buffer)
         end = bytes(buffer).find(b"\x00")  # the strcat scan
         buffer[end:end + 1] = record + b"\x00"
-    return bytes(buffer[:-1])
+    return bytes(buffer[:-1]), scanned

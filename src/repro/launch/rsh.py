@@ -54,7 +54,9 @@ class SerialRshLauncher(Launcher):
         self.name = f"mrnet-{protocol}"
 
     def launch(self, machine: MachineModel, topology: Topology,
-               mapping: str = "block") -> LaunchResult:
+               mapping: str = "block",
+               map_rng: Optional[np.random.Generator] = None
+               ) -> LaunchResult:
         """Serially spawn every daemon and CP, then wire the tree."""
         num_daemons = topology.num_daemons
         if (self.fail_at_daemons is not None
@@ -83,7 +85,7 @@ class SerialRshLauncher(Launcher):
                 "tool.connect": t_connect,
             },
             process_table=build_process_table(
-                num_daemons, machine.tasks_per_daemon, mapping, rng=self.rng),
+                num_daemons, machine.tasks_per_daemon, mapping, rng=map_rng),
             daemons_launched=num_daemons,
             cps_launched=num_cps,
         )

@@ -239,7 +239,6 @@ def _fault_demo(seed: int, daemons: int = 16,
         merge_fn=emulator.merge_filter(),
         payload_nbytes=DaemonTrees.serialized_bytes,
         payload_nodes=DaemonTrees.node_count,
-        on_daemon_failure="skip",
         config=StreamConfig(seed=seed),
         faults=plan.bind(daemons),
     )

@@ -22,7 +22,7 @@ from repro.tbon.network import DaemonFailure, ReduceResult, TBONCostBase, \
     TBONetwork, TBONOverflowError
 from repro.tbon.spec import from_topology_file, parse_shape, \
     to_topology_file
-from repro.tbon.streaming import Snapshot, StreamConfig, StreamResult, \
+from repro.tbon.streaming import Snapshot, StreamConfig, \
     StreamingReduction, StreamingTBON
 from repro.tbon.topology import Topology, TopologyNode, Role
 
@@ -38,7 +38,6 @@ __all__ = [
     "StreamingTBON",
     "StreamingReduction",
     "StreamConfig",
-    "StreamResult",
     "Snapshot",
     "parse_shape",
     "to_topology_file",

@@ -27,7 +27,9 @@ what makes full-scale 1,664-daemon runs feasible in-process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import RetryPolicy
@@ -62,10 +64,10 @@ class TBONOverflowError(RuntimeError):
 
 
 class DaemonFailure(RuntimeError):
-    """Raised by a leaf payload source when its daemon has died.
+    """Every daemon failed, so there is nothing to merge.
 
-    With ``on_daemon_failure="skip"`` the reduction proceeds without the
-    dead daemon's subtree and reports it in
+    Individual failures never raise: a crashed or unreachable daemon's
+    subtree is dropped and reported in
     :attr:`ReduceResult.missing_daemons` — at 1,664 daemons a tool that
     aborts on any single failure never completes a full-machine run.
     """
@@ -95,16 +97,23 @@ class FilterCostModel:
 
 @dataclass
 class ReduceResult:
-    """Outcome of one full reduction to the front end."""
+    """Outcome of one full reduction to the front end (batch or streamed)."""
 
     payload: Any
+    #: simulated completion time at the front end (time-to-final)
     sim_time: float
+    #: earliest instant a merged tree exists at the front end: the first
+    #: daemon emission when streamed, ``sim_time`` in batch mode
+    first_tree_time: float = 0.0
     bytes_total: int = 0
     messages: int = 0
+    #: incremental two-way folds performed (streamed mode only)
+    partial_merges: int = 0
     max_node_ingress_bytes: int = 0
     filter_seconds: float = 0.0
     per_level_bytes: Dict[int, int] = field(default_factory=dict)
-    #: daemons that failed and were skipped (on_daemon_failure="skip")
+    #: ranks of the daemons whose payloads never reached the front end
+    #: (sorted)
     missing_daemons: List[int] = field(default_factory=list)
     #: bounded retry attempts spent absorbing injected faults
     retries: int = 0
@@ -144,6 +153,13 @@ class BroadcastResult:
     sim_time: float
     bytes_total: int = 0
     messages: int = 0
+
+
+#: marks a subtree whose every daemon was lost
+_DEAD = object()
+
+#: the attempt sequence of a transmission over a fault-free link
+_CLEAN = ("ok",)
 
 
 class TBONCostBase:
@@ -207,6 +223,113 @@ class TBONCostBase:
         return self.filter_cost.cost(
             n_children, bytes_in, merged_nodes) * self._slowdown(node)
 
+    # -- delivery core shared by batch and streamed reductions -------------
+    @staticmethod
+    def _policy(faults: Optional[FaultInjector],
+                retry: Optional[RetryPolicy]) -> RetryPolicy:
+        """The retry policy in force: ``retry``, else the plan's own."""
+        if retry is not None:
+            return retry
+        return faults.retry if faults is not None else RetryPolicy()
+
+    def _finish(self, stats: ReduceResult, payload: Any,
+                sim_time: float) -> ReduceResult:
+        """Close a reduction whose root holds ``payload`` (``None``: every
+        daemon was lost, which raises :class:`DaemonFailure`)."""
+        stats.missing_daemons.sort()
+        if payload is None:
+            raise DaemonFailure(
+                f"every daemon failed ({len(stats.missing_daemons)} of "
+                f"{self.topology.num_daemons})")
+        stats.payload = payload
+        stats.sim_time = sim_time
+        # Aggregate perf accounting: one update per reduction, not per hop.
+        PERF.add(TBON_REDUCTIONS)
+        PERF.add(TBON_BYTES, stats.bytes_total)
+        PERF.add(TBON_MESSAGES, stats.messages)
+        return stats
+
+    @staticmethod
+    def _lose(stats: ReduceResult, ranks: Iterable[int]) -> None:
+        """Record one lost subtree carrying the live daemon ``ranks``."""
+        stats.missing_subtrees += 1
+        stats.missing_daemons.extend(ranks)
+
+    @classmethod
+    def _leaf_fate(cls, stats: ReduceResult, rank: int, ready: float,
+                   faults: Optional[FaultInjector],
+                   policy: RetryPolicy) -> Tuple[float, bool]:
+        """When daemon ``rank``'s payload is ready, or that it is lost.
+
+        Returns ``(time, alive)``.  An alive daemon emits at ``time``
+        (injected stalls and stragglers absorbed by retry polling); a lost
+        one is recorded as missing, and ``time`` is when its parent gives
+        up on it.
+        """
+        if faults is None:
+            return ready, True
+        when, alive, spent = faults.leaf_outcome(rank, ready, policy)
+        if spent:
+            stats.retries += spent
+            PERF.add(TBON_RETRIES, spent)
+        if not alive:
+            cls._lose(stats, (rank,))
+        return when, alive
+
+    @staticmethod
+    def _attempts(node_id: int, slot: int, payload: Any,
+                  faults: Optional[FaultInjector],
+                  policy: RetryPolicy) -> Tuple[str, ...]:
+        """Every attempt of one transmission into ``node_id``'s ``slot``.
+
+        Link fates are drawn per ``(node, slot, attempt)``, independent of
+        time, so the whole sequence is known before the first send: each
+        entry is ``"drop"`` (lost in flight), ``"corrupt"`` (caught by the
+        receiver's checksum) or ``"ok"``.  The sequence ends delivered at
+        the first ``"ok"`` or exhausted after ``policy.max_retries + 1``
+        failures; a clean link is the one-attempt ``("ok",)``.
+        """
+        if faults is None or faults.link_params(node_id) is None:
+            return _CLEAN
+        fates: List[str] = []
+        for attempt in range(policy.max_retries + 1):
+            fate = faults.link_fate(node_id, slot, attempt)
+            if fate != "drop" and faults.deliver_ok(payload, fate):
+                if attempt:
+                    faults.note_absorbed()
+                return tuple(fates) + ("ok",)
+            fates.append(fate)
+        return tuple(fates)
+
+    @staticmethod
+    def _replay(stats: ReduceResult, fates: Tuple[str, ...], level: int,
+                nbytes: int, policy: RetryPolicy
+                ) -> Iterator[Optional[float]]:
+        """Walk an attempt sequence, accounting every step in ``stats``.
+
+        The clock stays with the driver: each yielded ``None`` is one real
+        transmission of ``nbytes`` over the receiving NIC, each number a
+        wait in simulated seconds (a drop's timeout, a retry's backoff).
+        """
+        last = len(fates) - 1
+        for attempt, fate in enumerate(fates):
+            if fate == "drop":
+                stats.dropped_messages += 1
+                yield policy.timeout_s
+            else:
+                yield None
+                stats.bytes_total += nbytes
+                stats.messages += 1
+                stats.per_level_bytes[level] = \
+                    stats.per_level_bytes.get(level, 0) + nbytes
+                if fate == "corrupt":
+                    stats.corrupt_detected += 1
+                    PERF.add(TBON_CORRUPT_DETECTED)
+            if attempt < last:
+                stats.retries += 1
+                PERF.add(TBON_RETRIES)
+                yield policy.backoff_s(attempt)
+
     # -- broadcast ---------------------------------------------------------
     def broadcast(self, nbytes: int,
                   start_time: float = 0.0) -> BroadcastResult:
@@ -235,19 +358,6 @@ class TBONCostBase:
         return result
 
 
-def _subtree_ranks(node: TopologyNode) -> List[int]:
-    """Daemon ranks under ``node`` (the node itself when a leaf)."""
-    out: List[int] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_leaf:
-            out.append(current.rank)
-        else:
-            stack.extend(current.children)
-    return out
-
-
 class TBONetwork(TBONCostBase):
     """A batch-mode TBO̅N instance bound to a topology and a machine.
 
@@ -263,8 +373,6 @@ class TBONetwork(TBONCostBase):
                payload_nbytes: Callable[[Any], int],
                payload_nodes: Optional[Callable[[Any], int]] = None,
                leaf_ready_time: Callable[[int], float] = lambda d: 0.0,
-               on_daemon_failure: str = "raise",
-               failure_detect_s: float = 5.0,
                faults: Optional[FaultInjector] = None,
                retry: Optional[RetryPolicy] = None,
                ) -> ReduceResult:
@@ -273,7 +381,8 @@ class TBONetwork(TBONCostBase):
         Parameters
         ----------
         leaf_payload_fn:
-            ``daemon_rank -> payload`` — called lazily, once per daemon.
+            ``daemon_rank -> payload`` — called lazily, once per live
+            daemon.
         merge_fn:
             The filter body: merges a list of child payloads into one.
         payload_nbytes:
@@ -284,18 +393,15 @@ class TBONetwork(TBONCostBase):
         leaf_ready_time:
             Simulated time at which each daemon's payload is available
             (e.g. end of its local sampling/merge phase).
-        on_daemon_failure:
-            ``"raise"`` propagates :class:`DaemonFailure` from the leaf
-            source; ``"skip"`` drops the dead daemon's subtree, records it
-            in :attr:`ReduceResult.missing_daemons`, and charges a
-            ``failure_detect_s`` socket-timeout to its parent.
         faults:
-            Optional bound :class:`~repro.faults.inject.FaultInjector`.
-            Injected crashes/stalls/stragglers apply at the leaves;
-            link drop/corruption applies per transmission, each failed
-            attempt retried under the retry policy and charged as
-            simulated cost.  An injector bound from an empty plan is a
-            guaranteed no-op (bit-identical result and timing).
+            Optional bound :class:`~repro.faults.inject.FaultInjector`,
+            the only way to declare a failure.  Crashed daemons are
+            skipped (their parents charge the crash-detection timeout);
+            stalls/stragglers apply at the leaves; link drop/corruption
+            applies per transmission, each failed attempt retried under
+            the retry policy and charged as simulated cost.  An injector
+            bound from an empty plan is a guaranteed no-op (bit-identical
+            result and timing).
         retry:
             Optional :class:`~repro.faults.plan.RetryPolicy` override;
             defaults to ``faults.retry``.  Only consulted when
@@ -311,64 +417,31 @@ class TBONetwork(TBONCostBase):
         TBONOverflowError
             On fan-in or buffering limits.
         DaemonFailure
-            When every daemon failed (there is nothing to merge), or on
-            the first failure with ``on_daemon_failure="raise"``.
+            When every daemon failed (there is nothing to merge).
         """
-        if on_daemon_failure not in ("raise", "skip"):
-            raise ValueError(
-                f"on_daemon_failure must be 'raise' or 'skip', "
-                f"got {on_daemon_failure!r}")
         nodes_of = payload_nodes or (lambda p: 0)
         stats = ReduceResult(payload=None, sim_time=0.0)
-        _DEAD = object()
-        policy = retry if retry is not None else \
-            (faults.retry if faults is not None else RetryPolicy())
-        missing_seen: set = set()
+        policy = self._policy(faults, retry)
 
-        def record_missing(rank: int) -> None:
-            if rank not in missing_seen:
-                missing_seen.add(rank)
-                stats.missing_daemons.append(rank)
-
-        def visit(node: TopologyNode, level: int) -> Tuple[Any, float]:
+        def visit(node: TopologyNode,
+                  level: int) -> Tuple[Any, float, Tuple[int, ...]]:
+            """(payload, ready time, covered ranks) of ``node``'s subtree."""
             if node.is_leaf:
                 rank = node.rank
-                if faults is not None:
-                    when, alive, spent = faults.leaf_outcome(
-                        rank, leaf_ready_time(rank), policy,
-                        failure_detect_s)
-                    if spent:
-                        stats.retries += spent
-                        PERF.add(TBON_RETRIES, spent)
-                    if not alive:
-                        if on_daemon_failure == "raise":
-                            raise DaemonFailure(
-                                f"daemon {rank} lost to injected fault")
-                        record_missing(rank)
-                        stats.missing_subtrees += 1
-                        return _DEAD, when
-                else:
-                    when = leaf_ready_time(rank)
-                try:
-                    return leaf_payload_fn(rank), when
-                except DaemonFailure:
-                    if on_daemon_failure == "raise":
-                        raise
-                    record_missing(rank)
-                    stats.missing_subtrees += 1
-                    return _DEAD, failure_detect_s
+                when, alive = self._leaf_fate(
+                    stats, rank, leaf_ready_time(rank), faults, policy)
+                if not alive:
+                    return _DEAD, when, ()
+                return leaf_payload_fn(rank), when, (rank,)
 
             self._check_fanout(node)
 
-            payloads: List[Any] = []
             ends: List[float] = []
             nic_free = 0.0
             ingress_bytes = 0
-            lost_slots: set = set()
-            link = None if faults is None else \
-                faults.link_params(node.node_id)
             child_results = [visit(child, level + 1)
                              for child in node.children]
+            delivered = [False] * len(child_results)
             # Transfers serialize on the NIC earliest-ready-first (MRNet's
             # event-driven receive; ties keep child order), but payloads
             # merge in canonical child order so the merged tree never
@@ -378,65 +451,30 @@ class TBONetwork(TBONCostBase):
             order = sorted(range(len(child_results)),
                            key=lambda i: (child_results[i][1], i))
             for i in order:
-                payload, ready = child_results[i]
+                payload, ready, ranks = child_results[i]
                 if payload is _DEAD:
                     # No transfer; the parent still waits out the timeout.
                     ends.append(ready)
                     continue
                 nbytes = payload_nbytes(payload)
-                if link is None:
-                    ingress_bytes += nbytes
-                    stats.bytes_total += nbytes
-                    stats.messages += 1
-                    stats.per_level_bytes[level] = \
-                        stats.per_level_bytes.get(level, 0) + nbytes
-                    start = max(ready, nic_free)
-                    end = start + self.machine.transfer_time(nbytes)
-                    nic_free = end
-                    ends.append(end)
-                    continue
-                # Faulted ingress link: every attempt is one real
-                # transmission — a drop burns the per-attempt timeout, a
-                # corruption is caught by the receiver's checksum and
-                # retried — and an exhausted budget degrades the whole
-                # child subtree to missing_daemons.
+                fates = self._attempts(node.node_id, i, payload, faults,
+                                       policy)
                 t = max(ready, nic_free)
-                delivered = False
-                for attempt in range(policy.max_retries + 1):
-                    fate = faults.link_fate(node.node_id, i, attempt)
-                    if fate == "drop":
-                        stats.dropped_messages += 1
-                        t += policy.timeout_s
-                    else:
-                        t += self.machine.transfer_time(nbytes)
-                        stats.bytes_total += nbytes
-                        stats.messages += 1
-                        stats.per_level_bytes[level] = \
-                            stats.per_level_bytes.get(level, 0) + nbytes
-                        if faults.deliver_ok(payload, fate):
-                            delivered = True
-                            if attempt:
-                                faults.note_absorbed()
-                            break
-                        stats.corrupt_detected += 1
-                        PERF.add(TBON_CORRUPT_DETECTED)
-                    if attempt < policy.max_retries:
-                        stats.retries += 1
-                        PERF.add(TBON_RETRIES)
-                        t += policy.backoff_s(attempt)
+                for wait in self._replay(stats, fates, level, nbytes,
+                                         policy):
+                    t += self.machine.transfer_time(nbytes) \
+                        if wait is None else wait
                 nic_free = t
                 ends.append(t)
-                if delivered:
+                if fates[-1] == "ok":
+                    delivered[i] = True
                     ingress_bytes += nbytes
                 else:
-                    lost_slots.add(i)
-                    stats.missing_subtrees += 1
-                    for lost_rank in sorted(
-                            _subtree_ranks(node.children[i])):
-                        record_missing(lost_rank)
-            payloads = [payload
-                        for j, (payload, _) in enumerate(child_results)
-                        if payload is not _DEAD and j not in lost_slots]
+                    self._lose(stats, ranks)
+            payloads = [child_results[j][0]
+                        for j in range(len(child_results)) if delivered[j]]
+            covered = tuple(rank for j in range(len(child_results))
+                            if delivered[j] for rank in child_results[j][2])
             del child_results
 
             self._check_ingress(node, ingress_bytes)
@@ -445,27 +483,19 @@ class TBONetwork(TBONCostBase):
                 stats.max_node_ingress_bytes, ingress_bytes)
 
             if not payloads:  # the whole subtree is dead
-                return _DEAD, max(ends)
+                return _DEAD, max(ends), ()
             merged = merge_fn(payloads) if len(payloads) > 1 else payloads[0]
             del payloads
             cpu = self.filter_seconds(
                 node, len(node.children), ingress_bytes, nodes_of(merged))
             stats.filter_seconds += cpu
-            return merged, max(ends) + cpu
+            return merged, max(ends) + cpu, covered
 
         with PERF.timer(TBON_REDUCE_WALL_SECONDS):
-            payload, t_done = visit(self.topology.root, 0)
-        if payload is _DEAD:
-            raise DaemonFailure(
-                f"every daemon failed ({len(stats.missing_daemons)} of "
-                f"{self.topology.num_daemons})")
-        stats.payload = payload
-        stats.sim_time = t_done
-        # Aggregate perf accounting: one update per reduction, not per hop.
-        PERF.add(TBON_REDUCTIONS)
-        PERF.add(TBON_BYTES, stats.bytes_total)
-        PERF.add(TBON_MESSAGES, stats.messages)
-        return stats
+            payload, t_done, _ = visit(self.topology.root, 0)
+        stats.first_tree_time = t_done
+        return self._finish(stats, None if payload is _DEAD else payload,
+                            t_done)
 
     def __repr__(self) -> str:
         return (f"<TBONetwork {self.topology.describe()} "

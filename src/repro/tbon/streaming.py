@@ -32,10 +32,14 @@ streamed tree is ``arrays_equal`` to the batch merge for every arrival
 order — the property tests in ``tests/test_tbon_streaming.py`` pin this
 across randomized topologies × schemes × seeds.
 
-Failure degrades, never raises: a daemon dying before it emits is
-detected by its parent after ``failure_detect_s`` and the reduction
-completes with that rank listed in :attr:`StreamResult.missing_daemons`
-— the same contract as the batch path's ``on_daemon_failure="skip"``.
+Failure degrades, never raises: a daemon crashed by the bound
+:class:`~repro.faults.plan.FaultPlan` is detected by its parent after
+:data:`~repro.faults.plan.FAILURE_DETECT_S` and the reduction completes
+with that rank listed in :attr:`ReduceResult.missing_daemons`.  Leaf
+fates, link attempt sequences and loss bookkeeping come from
+:class:`~repro.tbon.network.TBONCostBase`, the same steps the batch
+driver replays as clock arithmetic, so the two modes can only differ by
+scheduling.
 
 Snapshot exactly-once invariant: a payload is attributed to exactly one
 place at every instant — its emitting/owning node while queued or in
@@ -49,29 +53,23 @@ is monotone non-decreasing in simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import RetryPolicy
 from repro.perf.counters import (
     PERF,
-    TBON_BYTES,
-    TBON_CORRUPT_DETECTED,
-    TBON_MESSAGES,
     TBON_PARTIAL_MERGES,
-    TBON_REDUCTIONS,
-    TBON_RETRIES,
     TBON_SNAPSHOTS,
     TBON_STREAM_WALL_SECONDS,
 )
 from repro.sim import Engine, Process, Resource, SeedStream
-from repro.tbon.network import DaemonFailure, TBONCostBase
+from repro.tbon.network import ReduceResult, TBONCostBase
 from repro.tbon.topology import TopologyNode
 
 __all__ = [
     "StreamConfig",
-    "StreamResult",
     "Snapshot",
     "StreamingReduction",
     "StreamingTBON",
@@ -97,11 +95,6 @@ class StreamConfig:
     straggler_extra_s: float = 0.0
     #: per-transfer link slowdown: factor ~ U(1, 1 + link_jitter)
     link_jitter: float = 0.0
-    #: socket-timeout before a parent declares a silent child dead
-    failure_detect_s: float = 5.0
-    #: rank -> simulated death time; a daemon dying before its emit time
-    #: never sends and degrades to a missing ranklist at the front end
-    death_times: Mapping[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -121,39 +114,6 @@ class Snapshot:
     def empty(self) -> bool:
         """True before any daemon has emitted."""
         return self.payload is None
-
-
-@dataclass
-class StreamResult:
-    """Outcome of one full streamed reduction to the front end.
-
-    Field-compatible with the batch
-    :class:`~repro.tbon.network.ReduceResult` where the pipeline needs
-    it (``payload``, ``sim_time``, ``missing_daemons``).
-    """
-
-    payload: Any
-    #: simulated completion time at the front end (time-to-final)
-    sim_time: float
-    #: earliest instant a best-effort snapshot is non-empty
-    first_tree_time: float = 0.0
-    bytes_total: int = 0
-    messages: int = 0
-    #: incremental folds performed across all interior nodes
-    partial_merges: int = 0
-    max_node_ingress_bytes: int = 0
-    filter_seconds: float = 0.0
-    per_level_bytes: Dict[int, int] = field(default_factory=dict)
-    #: daemons that died in-flight and were degraded to missing ranklists
-    missing_daemons: List[int] = field(default_factory=list)
-    #: bounded retry attempts spent absorbing injected faults
-    retries: int = 0
-    #: transmissions lost in flight on faulted links
-    dropped_messages: int = 0
-    #: corrupted payloads caught by the receiver-side checksum
-    corrupt_detected: int = 0
-    #: degradation events (leaf deaths + exhausted-uplink subtree losses)
-    missing_subtrees: int = 0
 
 
 # -- per-node simulation state ------------------------------------------------
@@ -207,7 +167,7 @@ class StreamingReduction:
 
     Created by :meth:`StreamingTBON.stream`; drive it with
     :meth:`run_until` + :meth:`snapshot` for mid-run views, then
-    :meth:`run` for the final :class:`StreamResult`.
+    :meth:`run` for the final :class:`~repro.tbon.network.ReduceResult`.
     """
 
     def __init__(self, net: "StreamingTBON",
@@ -216,32 +176,25 @@ class StreamingReduction:
                  payload_nbytes: Callable[[Any], int],
                  payload_nodes: Optional[Callable[[Any], int]],
                  leaf_ready_time: Callable[[int], float],
-                 on_daemon_failure: str,
                  config: StreamConfig,
                  progress_fn: Optional[
                      Callable[[str, Dict[str, float]], None]] = None,
                  faults: Optional[FaultInjector] = None,
                  retry: Optional[RetryPolicy] = None,
                  ) -> None:
-        if on_daemon_failure not in ("raise", "skip"):
-            raise ValueError(
-                f"on_daemon_failure must be 'raise' or 'skip', "
-                f"got {on_daemon_failure!r}")
         self.net = net
         self.config = config
         self._faults = faults
-        self._retry = retry if retry is not None else \
-            (faults.retry if faults is not None else RetryPolicy())
+        self._retry = net._policy(faults, retry)
         self.engine = Engine()
         self._leaf_payload_fn = leaf_payload_fn
         self._merge_fn = merge_fn
         self._payload_nbytes = payload_nbytes
         self._payload_nodes = payload_nodes or (lambda p: 0)
-        self._on_daemon_failure = on_daemon_failure
         self._progress_fn = progress_fn
         self._error: Optional[BaseException] = None
-        self._result: Optional[StreamResult] = None
-        self._stats = StreamResult(payload=None, sim_time=0.0,
+        self._result: Optional[ReduceResult] = None
+        self._stats = ReduceResult(payload=None, sim_time=0.0,
                                    first_tree_time=-1.0)
         self._states: Dict[int, Any] = {}
         self._root: Optional[_InteriorState] = None
@@ -312,39 +265,16 @@ class StreamingReduction:
     def _daemon(self, leaf_st: _LeafState, parent_st: _InteriorState,
                 slot: int, emit_time: float):
         rank = leaf_st.node.rank
-        death = self.config.death_times.get(rank)
-        detect = self.config.failure_detect_s
-        faults = self._faults
-        if faults is not None:
-            when, alive, spent = faults.leaf_outcome(
-                rank, emit_time, self._retry, detect)
-            if spent:
-                self._stats.retries += spent
-                PERF.add(TBON_RETRIES, spent)
-            if not alive:
-                if self._on_daemon_failure == "raise":
-                    raise DaemonFailure(
-                        f"daemon {rank} lost to injected fault")
-                # The parent gives up at `when` — crash detection
-                # timeout, or the end of an exhausted retry budget.
-                self._record_dead(rank, parent_st, slot, when)
-                return
-            emit_time = when
-        if death is not None and death < emit_time:
-            # Dies before emitting: the parent's socket times out.
-            yield self.engine.timeout(death)
-            self._record_dead(rank, parent_st, slot,
-                              self.engine.now + detect)
+        when, alive = self.net._leaf_fate(
+            self._stats, rank, emit_time, self._faults, self._retry)
+        if not alive:
+            # The parent gives up at `when` — crash detection timeout,
+            # or the end of an exhausted retry budget.
+            self.engine.schedule(
+                when, lambda: self._mark_missing(parent_st, slot))
             return
-        yield self.engine.timeout(emit_time)
-        try:
-            payload = self._leaf_payload_fn(rank)
-        except DaemonFailure:
-            if self._on_daemon_failure == "raise":
-                raise
-            self._record_dead(rank, parent_st, slot,
-                              self.engine.now + detect)
-            return
+        yield self.engine.timeout(when)
+        payload = self._leaf_payload_fn(rank)
         leaf_st.visible = payload
         leaf_st.ranks = (rank,)
         if self._stats.first_tree_time < 0:
@@ -357,13 +287,6 @@ class StreamingReduction:
         yield from self._transfer(leaf_st, parent_st, slot,
                                   payload, (rank,))
 
-    def _record_dead(self, rank: int, parent_st: _InteriorState,
-                     slot: int, detect_time: float) -> None:
-        self._stats.missing_daemons.append(rank)
-        self._stats.missing_subtrees += 1
-        self.engine.schedule(
-            detect_time, lambda: self._mark_missing(parent_st, slot))
-
     def _mark_missing(self, st: _InteriorState, slot: int) -> None:
         st.slots[slot] = _MISSING
         self._advance(st)
@@ -373,71 +296,46 @@ class StreamingReduction:
         """Move one payload across a link: serialize on the receiver's
         ingress NIC, then hand ownership over atomically on arrival.
 
-        On a faulted link every attempt is one real transmission — a
-        drop burns the per-attempt timeout, a corruption is caught by
-        the receiver's checksum and retried — and an exhausted retry
-        budget degrades the sender's whole subtree to missing ranklists
-        (the exactly-once invariant holds: the payload leaves the
-        network in the same event that declares it lost).
+        The attempt sequence comes whole from
+        :meth:`~repro.tbon.network.TBONCostBase._attempts`; each attempt
+        replays here as engine time — a drop burns the per-attempt
+        timeout, a transmission (``"corrupt"`` caught by the receiver's
+        checksum, or ``"ok"``) holds the receiving NIC, and a retry waits
+        out its backoff.  An exhausted sequence degrades the sender's
+        whole subtree to missing ranklists (the exactly-once invariant
+        holds: the payload leaves the network in the same event that
+        declares it lost).
         """
         stats = self._stats
         nbytes = self._payload_nbytes(payload)
-        faults = self._faults
-        policy = self._retry
-        link = None if faults is None else \
-            faults.link_params(parent_st.node.node_id)
-        attempt = 0
-        while True:
-            fate = "ok" if link is None else \
-                faults.link_fate(parent_st.node.node_id, slot, attempt)
-            if fate == "drop":
-                stats.dropped_messages += 1
-                yield self.engine.timeout(policy.timeout_s)
-            else:
-                yield parent_st.nic.acquire()
-                try:
-                    seconds = self.net.machine.transfer_time(nbytes)
-                    if self.config.link_jitter > 0:
-                        seconds *= 1.0 + float(
-                            parent_st.link_rng.uniform(
-                                0.0, self.config.link_jitter))
-                    yield self.engine.timeout(seconds)
-                finally:
-                    parent_st.nic.release()
-                stats.bytes_total += nbytes
-                stats.messages += 1
-                stats.per_level_bytes[parent_st.level] = \
-                    stats.per_level_bytes.get(parent_st.level, 0) + nbytes
-                if fate == "ok" or faults.deliver_ok(payload, fate):
-                    break
-                stats.corrupt_detected += 1
-                PERF.add(TBON_CORRUPT_DETECTED)
-            if attempt >= policy.max_retries:
-                if isinstance(sender_st, _LeafState):
-                    sender_st.visible = None
-                    sender_st.ranks = ()
-                else:
-                    sender_st.partial = None
-                    sender_st.partial_ranks = ()
-                stats.missing_subtrees += 1
-                for lost_rank in sorted(ranks):
-                    stats.missing_daemons.append(lost_rank)
-                self._mark_missing(parent_st, slot)
-                return
-            stats.retries += 1
-            PERF.add(TBON_RETRIES)
-            yield self.engine.timeout(policy.backoff_s(attempt))
-            attempt += 1
-        if link is not None and attempt:
-            faults.note_absorbed()
-        # Arrival: visibility moves from sender to the receiver's
-        # reorder buffer in one event — never double-counted, never lost.
+        fates = self.net._attempts(parent_st.node.node_id, slot, payload,
+                                   self._faults, self._retry)
+        for wait in self.net._replay(stats, fates, parent_st.level, nbytes,
+                                     self._retry):
+            if wait is not None:
+                yield self.engine.timeout(wait)
+                continue
+            yield parent_st.nic.acquire()
+            try:
+                seconds = self.net.machine.transfer_time(nbytes)
+                if self.config.link_jitter > 0:
+                    seconds *= 1.0 + float(parent_st.link_rng.uniform(
+                        0.0, self.config.link_jitter))
+                yield self.engine.timeout(seconds)
+            finally:
+                parent_st.nic.release()
+        # Arrival or loss: visibility leaves the sender in one event —
+        # never double-counted, never lost.
         if isinstance(sender_st, _LeafState):
             sender_st.visible = None
             sender_st.ranks = ()
         else:
             sender_st.partial = None
             sender_st.partial_ranks = ()
+        if fates[-1] != "ok":
+            self.net._lose(stats, ranks)
+            self._mark_missing(parent_st, slot)
+            return
         parent_st.ingress_bytes += nbytes
         self.net._check_ingress(parent_st.node, parent_st.ingress_bytes)
         stats.max_node_ingress_bytes = max(
@@ -517,7 +415,7 @@ class StreamingReduction:
             raise self._error
         return self
 
-    def run(self) -> StreamResult:
+    def run(self) -> ReduceResult:
         """Drain the simulation and return the final result."""
         if self._result is not None:
             return self._result
@@ -525,22 +423,9 @@ class StreamingReduction:
             self.engine.run()
         if self._error is not None:
             raise self._error
-        root = self._root
-        assert root is not None
-        if root.partial is None:
-            raise DaemonFailure(
-                f"every daemon failed "
-                f"({len(self._stats.missing_daemons)} of "
-                f"{self.net.topology.num_daemons})")
-        stats = self._stats
-        stats.payload = root.partial
-        stats.sim_time = self.engine.now
-        stats.missing_daemons.sort()
-        if stats.first_tree_time < 0:
-            stats.first_tree_time = 0.0
-        PERF.add(TBON_REDUCTIONS)
-        PERF.add(TBON_BYTES, stats.bytes_total)
-        PERF.add(TBON_MESSAGES, stats.messages)
+        assert self._root is not None
+        stats = self.net._finish(self._stats, self._root.partial,
+                                 self.engine.now)
         PERF.add(TBON_PARTIAL_MERGES, stats.partial_merges)
         self._result = stats
         return stats
@@ -612,7 +497,6 @@ class StreamingTBON(TBONCostBase):
                payload_nbytes: Callable[[Any], int],
                payload_nodes: Optional[Callable[[Any], int]] = None,
                leaf_ready_time: Callable[[int], float] = lambda d: 0.0,
-               on_daemon_failure: str = "skip",
                config: Optional[StreamConfig] = None,
                progress_fn: Optional[
                    Callable[[str, Dict[str, float]], None]] = None,
@@ -622,11 +506,9 @@ class StreamingTBON(TBONCostBase):
         """Wire up (but do not run) one streamed reduction.
 
         Parameters mirror :meth:`TBONetwork.reduce`; ``config`` adds the
-        stochastic environment.  ``on_daemon_failure`` defaults to
-        ``"skip"`` here — degrading to missing ranklists is the point of
-        streaming.  ``progress_fn(event, info)`` is invoked inside the
-        simulation at ``"first_tree"`` (earliest emission) and every
-        ``"root_fold"`` (front-end commit, with coverage counts).
+        stochastic environment.  ``progress_fn(event, info)`` is invoked
+        inside the simulation at ``"first_tree"`` (earliest emission) and
+        every ``"root_fold"`` (front-end commit, with coverage counts).
         ``faults`` binds a :class:`~repro.faults.plan.FaultPlan` to the
         run: injected crashes/stalls/stragglers shift or kill daemon
         emissions, link faults drop/corrupt transmissions (each failed
@@ -636,11 +518,10 @@ class StreamingTBON(TBONCostBase):
         """
         return StreamingReduction(
             self, leaf_payload_fn, merge_fn, payload_nbytes,
-            payload_nodes, leaf_ready_time, on_daemon_failure,
-            config or StreamConfig(), progress_fn=progress_fn,
-            faults=faults, retry=retry)
+            payload_nodes, leaf_ready_time, config or StreamConfig(),
+            progress_fn=progress_fn, faults=faults, retry=retry)
 
-    def reduce(self, *args: Any, **kwargs: Any) -> StreamResult:
+    def reduce(self, *args: Any, **kwargs: Any) -> ReduceResult:
         """Convenience: :meth:`stream` then run to completion."""
         return self.stream(*args, **kwargs).run()
 

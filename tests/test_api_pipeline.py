@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import (
-    DaemonKillObserver,
     PhaseObserver,
     PipelineError,
     SessionPipeline,
@@ -12,6 +11,7 @@ from repro.api import (
 )
 from repro.apps.ring import RingApp
 from repro.core.frontend import STATFrontEnd, STATResult
+from repro.faults import FaultPlan
 from repro.statbench import ring_hang_states
 
 SPEC = SessionSpec(machine="bgl", daemons=4, num_samples=2, seed=11)
@@ -100,8 +100,16 @@ class TestObservers:
         assert all(v >= 0 for v in timer.wall_seconds.values())
 
     def test_daemon_kill_observer_degrades_merge(self):
-        killer = DaemonKillObserver([1, 2], before="merge")
-        result = SessionPipeline.from_spec(SPEC, observers=(killer,)).run()
+        class DaemonKiller(PhaseObserver):
+            """Crash daemons 1 and 2 right before the merge."""
+
+            def on_phase_start(self, phase, ctx):
+                if phase == "merge":
+                    ctx.fault_plan = FaultPlan(seed=ctx.seed).with_crashes(
+                        [1, 2])
+
+        result = SessionPipeline.from_spec(
+            SPEC, observers=(DaemonKiller(),)).run()
         assert sorted(result.merge.missing_daemons) == [1, 2]
         # 2 of 4 daemons x 64 tasks are gone from the tree.
         total = sum(c.size for c in result.classes)
@@ -132,15 +140,22 @@ class TestFrontEndEquivalence:
             [c.ranks for c in legacy.classes]
 
     def test_dead_daemons_path_equivalent(self):
+        """A front-end pipeline given a crash plan == a spec carrying the
+        legacy ``dead_daemons`` alias."""
         machine = SPEC.build_machine()
         fe = STATFrontEnd(machine, seed=SPEC.seed)
-        legacy = fe.attach_and_analyze(
-            ring_hang_states(machine.total_tasks), num_samples=2,
-            dead_daemons={3})
-        via_spec = SPEC.replace(dead_daemons=(3,)).run().result
-        assert via_spec.timings == legacy.timings
+        pipeline = fe.pipeline(ring_hang_states(machine.total_tasks),
+                               num_samples=2)
+        pipeline.ctx.fault_plan = FaultPlan(seed=SPEC.seed).with_crashes(
+            [3])
+        via_frontend = pipeline.run()
+        data = SPEC.to_dict()
+        data["dead_daemons"] = [3]
+        via_spec = SessionSpec.from_dict(data).run().result
+        assert via_spec.timings == via_frontend.timings
         assert via_spec.merge.missing_daemons == \
-            legacy.merge.missing_daemons
+            via_frontend.merge.missing_daemons == [3]
+        assert via_spec.degradation == via_frontend.degradation
 
     def test_frontend_pipeline_method(self):
         machine = SPEC.build_machine()
@@ -205,3 +220,54 @@ class TestRingApp:
             RingApp.with_hang(2)
         with pytest.raises(ValueError):
             RingApp.with_hang(8, hang_rank=9)
+
+
+def _ranks(task_map):
+    """Each daemon's ranks, in daemon order."""
+    return [task_map.ranks_of(d).tolist() for d in task_map.daemons()]
+
+
+def _rows(tree, depth=None):
+    """(path, ranks) per node, in node order (``depth`` truncates)."""
+    if depth is not None:
+        tree = tree.truncated_at_depth(depth)
+    return [(str(path), node.tasks.to_ranks().tolist())
+            for path, node in tree.walk()]
+
+
+class TestShuffledMapping:
+    SHUFFLED = SessionSpec(machine="bgl", daemons=8, num_samples=3,
+                           seed=5, mapping="shuffled")
+
+    def test_shuffled_spec_runs_and_shuffles(self):
+        ctx = self.SHUFFLED.run()
+        block = self.SHUFFLED.replace(mapping="block").run()
+        assert ctx.result is not None
+        assert _ranks(ctx.task_map) != _ranks(block.task_map)
+        assert sorted(r for ranks in _ranks(ctx.task_map)
+                      for r in ranks) == \
+            list(range(ctx.machine.total_tasks))
+
+    def test_replays_identically_per_seed(self):
+        first = self.SHUFFLED.run()
+        again = self.SHUFFLED.run()
+        other = self.SHUFFLED.replace(seed=6).run()
+        assert _ranks(first.task_map) == _ranks(again.task_map)
+        assert _ranks(first.task_map) != _ranks(other.task_map)
+        assert first.timings == again.timings
+        for tree in ("tree_2d", "tree_3d"):
+            assert _rows(getattr(first, tree)) == \
+                _rows(getattr(again, tree))
+        assert first.classes == again.classes
+
+    def test_finalizes_like_the_block_map(self):
+        shuffled = self.SHUFFLED.run().result
+        block = self.SHUFFLED.replace(mapping="block").run().result
+        assert shuffled.classes == block.classes
+        # Each daemon draws its progress-engine recursion depths from its
+        # own stream, so which ranks sit under each depth follows the
+        # rank map (for cyclic maps too); every frame above that
+        # recursion is the same, rank for rank.
+        for tree in ("tree_2d", "tree_3d"):
+            assert sorted(_rows(getattr(shuffled, tree), depth=4)) == \
+                sorted(_rows(getattr(block, tree), depth=4))

@@ -14,6 +14,7 @@ from repro.api.workloads import (
 )
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.sampling import SamplingConfig
+from repro.faults import DaemonCrash, FaultPlan
 from repro.launch.ciod import BglSystemLauncher
 from repro.launch.launchmon import LaunchMonLauncher
 from repro.launch.rsh import SerialRshLauncher
@@ -47,9 +48,15 @@ class TestValidation:
             spec.daemons = 8
 
     def test_dead_daemons_normalized(self):
-        spec = SessionSpec(machine="bgl", daemons=8,
-                           dead_daemons=(5, 1, 3))
-        assert spec.dead_daemons == (1, 3, 5)
+        """The legacy ``dead_daemons`` list parses into sorted t=0
+        crashes; it is no longer a spec field."""
+        spec = SessionSpec.from_dict({"machine": "bgl", "daemons": 8,
+                                      "dead_daemons": [5, 1, 3]})
+        assert spec.faults.crashes == tuple(
+            DaemonCrash(rank=r, time=0.0) for r in (1, 3, 5))
+        assert not hasattr(spec, "dead_daemons")
+        with pytest.raises(TypeError):
+            SessionSpec(machine="bgl", daemons=8, dead_daemons=(1,))
 
     def test_replace_validates(self):
         spec = SessionSpec(machine="bgl", daemons=4)
@@ -78,7 +85,8 @@ class TestRoundTrip:
             staging="lustre", use_sbrs=True,
             sampling=SamplingConfig(num_samples=3, jitter_sigma=0.0,
                                     symtab_cached=False),
-            num_samples=3, mapping="block", dead_daemons=(2, 7),
+            num_samples=3, mapping="block",
+            faults=FaultPlan(seed=99).with_crashes([2, 7]),
             seed=99, workload="uniform:4:12", stop_after="merge",
             name="loaded")
         again = SessionSpec.from_json(spec.to_json())
@@ -88,10 +96,12 @@ class TestRoundTrip:
 
     def test_json_is_plain_types(self):
         spec = SessionSpec(machine="bgl", daemons=4,
-                           sampling=SamplingConfig(), dead_daemons=(1,))
+                           sampling=SamplingConfig(),
+                           faults=FaultPlan().with_crashes([1]))
         data = json.loads(spec.to_json())
         assert data["spec_version"] == 1
-        assert data["dead_daemons"] == [1]
+        assert data["faults"]["crashes"] == [{"rank": 1, "time": 0.0}]
+        assert "dead_daemons" not in data
         assert isinstance(data["sampling"], dict)
 
     def test_unknown_field_rejected(self):

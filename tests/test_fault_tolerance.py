@@ -1,12 +1,17 @@
 """Tests for TBO̅N daemon-failure handling and seeded fault injection."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.api.pipeline import SessionPipeline
 from repro.api.spec import SessionSpec, SpecValidationError
 from repro.api.suite import MAX_SPEC_RETRIES, ScenarioSuite
 from repro.core.merge import HierarchicalLabelScheme
 from repro.core.taskset import TaskMap
 from repro.faults import (
+    FAILURE_DETECT_S,
     DaemonCrash,
     DaemonStall,
     FaultPlan,
@@ -25,55 +30,38 @@ from repro.tbon.streaming import StreamConfig, StreamingTBON
 from repro.tbon.topology import Topology
 
 
-def make_reduce(machine, topology, dead, **kwargs):
-    def leaf(rank):
-        if rank in dead:
-            raise DaemonFailure(f"daemon {rank} died")
-        return rank
+def make_reduce(machine, topology, dead):
+    """Integer-sum reduction whose ``dead`` daemons crash at t=0."""
+    faults = FaultPlan(seed=1).with_crashes(dead).bind(topology.num_daemons)
     net = TBONetwork(topology, machine)
-    return net.reduce(leaf, lambda ps: sum(ps), lambda p: 100, **kwargs)
+    return net.reduce(lambda rank: rank, lambda ps: sum(ps),
+                      lambda p: 100, faults=faults)
 
 
 class TestSkipPolicy:
-    def test_raise_is_default(self, atlas_small):
-        with pytest.raises(DaemonFailure):
-            make_reduce(atlas_small, Topology.flat(16), dead={3})
-
     def test_skip_records_missing(self, atlas_small):
-        res = make_reduce(atlas_small, Topology.flat(16), dead={3, 7},
-                          on_daemon_failure="skip")
-        assert sorted(res.missing_daemons) == [3, 7]
+        res = make_reduce(atlas_small, Topology.flat(16), dead={3, 7})
+        assert res.missing_daemons == [3, 7]
         assert res.payload == sum(range(16)) - 3 - 7
 
     def test_skip_whole_subtree(self, atlas_small):
         topo = Topology.two_deep(16, 4)   # 4 daemons per CP
-        res = make_reduce(atlas_small, topo, dead={0, 1, 2, 3},
-                          on_daemon_failure="skip")
+        res = make_reduce(atlas_small, topo, dead={0, 1, 2, 3})
         assert res.payload == sum(range(4, 16))
         assert len(res.missing_daemons) == 4
 
     def test_all_dead_raises(self, atlas_small):
         with pytest.raises(DaemonFailure, match="every daemon"):
-            make_reduce(atlas_small, Topology.flat(8), dead=set(range(8)),
-                        on_daemon_failure="skip")
+            make_reduce(atlas_small, Topology.flat(8), dead=set(range(8)))
 
     def test_failure_timeout_delays_completion(self, atlas_small):
         topo = Topology.flat(8)
-        ok = make_reduce(atlas_small, topo, dead=set(),
-                         on_daemon_failure="skip", failure_detect_s=5.0)
-        degraded = make_reduce(atlas_small, topo, dead={1},
-                               on_daemon_failure="skip",
-                               failure_detect_s=5.0)
-        assert degraded.sim_time >= 5.0 > ok.sim_time
-
-    def test_invalid_policy(self, atlas_small):
-        with pytest.raises(ValueError):
-            make_reduce(atlas_small, Topology.flat(4), dead=set(),
-                        on_daemon_failure="retry")
+        ok = make_reduce(atlas_small, topo, dead=set())
+        degraded = make_reduce(atlas_small, topo, dead={1})
+        assert degraded.sim_time >= FAILURE_DETECT_S > ok.sim_time
 
     def test_network_profile_mentions_missing(self, atlas_small):
-        res = make_reduce(atlas_small, Topology.flat(8), dead={2},
-                          on_daemon_failure="skip")
+        res = make_reduce(atlas_small, Topology.flat(8), dead={2})
         assert "MISSING daemons: [2]" in res.network_profile()
 
 
@@ -86,17 +74,13 @@ class TestDegradedStatSession:
             tm, HierarchicalLabelScheme(), bgl_stacks,
             ring_hang_states(bgl_small.total_tasks), num_samples=4)
 
-        def leaf(rank):
-            if rank == 5:
-                raise DaemonFailure("io node 5 lost")
-            return emulator.daemon_trees(rank)
-
+        faults = FaultPlan(seed=1).with_crashes([5]).bind(
+            bgl_small.num_daemons)
         net = TBONetwork(Topology.bgl_two_deep(bgl_small.num_daemons),
                          bgl_small)
-        res = net.reduce(leaf, emulator.merge_filter(),
+        res = net.reduce(emulator.daemon_trees, emulator.merge_filter(),
                          DaemonTrees.serialized_bytes,
-                         DaemonTrees.node_count,
-                         on_daemon_failure="skip")
+                         DaemonTrees.node_count, faults=faults)
         assert res.missing_daemons == [5]
         final = HierarchicalLabelScheme().finalize(
             res.payload.tree_3d, tm)
@@ -208,7 +192,7 @@ class TestBatchInjection:
         plan = FaultPlan(seed=1, stalls=(DaemonStall(rank=2,
                                                      duration=3.0),))
         res = sum_reduce(atlas_small, Topology.flat(8),
-                         faults=plan.bind(8), on_daemon_failure="skip")
+                         faults=plan.bind(8))
         assert res.payload == sum(range(8))
         assert res.missing_daemons == []
         assert res.sim_time >= 3.0
@@ -217,7 +201,7 @@ class TestBatchInjection:
         plan = FaultPlan(seed=1, stalls=(DaemonStall(rank=2,
                                                      duration=100.0),))
         res = sum_reduce(atlas_small, Topology.flat(8),
-                         faults=plan.bind(8), on_daemon_failure="skip")
+                         faults=plan.bind(8))
         assert res.missing_daemons == [2]
         assert res.payload == sum(range(8)) - 2
         assert res.retries == plan.retry.max_retries
@@ -226,7 +210,7 @@ class TestBatchInjection:
     def test_crash_behaves_like_dead_daemon(self, atlas_small):
         plan = FaultPlan(seed=1, crashes=(DaemonCrash(rank=5),))
         res = sum_reduce(atlas_small, Topology.flat(8),
-                         faults=plan.bind(8), on_daemon_failure="skip")
+                         faults=plan.bind(8))
         assert res.missing_daemons == [5]
         assert res.payload == sum(range(8)) - 5
 
@@ -235,8 +219,7 @@ class TestBatchInjection:
         target = topo.root.children[0].node_id
         plan = FaultPlan(seed=1, links=(LinkFault(corrupt_p=1.0,
                                                   node_id=target),))
-        res = sum_reduce(atlas_small, topo, faults=plan.bind(8),
-                         on_daemon_failure="skip")
+        res = sum_reduce(atlas_small, topo, faults=plan.bind(8))
         assert res.missing_daemons == [0, 1, 2, 3]
         assert res.payload == sum(range(4, 8))
         # every link into the target: budget+1 transmissions, all caught
@@ -247,8 +230,7 @@ class TestBatchInjection:
     def test_drops_are_deterministic_per_seed(self, atlas_small):
         plan = FaultPlan(seed=42, links=(LinkFault(drop_p=0.4),))
         runs = [sum_reduce(atlas_small, Topology.two_deep(16, 4),
-                           faults=plan.bind(16),
-                           on_daemon_failure="skip")
+                           faults=plan.bind(16))
                 for _ in range(2)]
         assert runs[0].payload == runs[1].payload
         assert runs[0].sim_time == runs[1].sim_time
@@ -383,3 +365,122 @@ class TestChaosSmoke:
         first.pop("wall_seconds")
         second.pop("wall_seconds")
         assert first == second
+
+
+def _canonical(value):
+    """JSON-ready form of a chaos fingerprint (floats bit-exact)."""
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, str):
+        return value
+    return int(value)
+
+
+class TestGoldenFaultReplay:
+    """The first 48 chaos plans cover all 12 topology x scheme x
+    batch/stream combinations; their replay fingerprints (simulated time,
+    missing ranks, messages, retries, drops, corruptions, lost subtrees,
+    injector counts, absorbed faults) are pinned bit for bit."""
+
+    PLANS = 48
+    GOLDEN = ("22b1faa6190f71e266b2789e537fdabf"
+              "46f20f691157dadad21bdab70f5e02f1")
+
+    def test_chaos_fingerprints_match_golden_digest(self):
+        from repro.faults import chaos
+
+        seed, daemons = 208_000, 8
+        machine, schemes, combos = chaos._sweep_setup(daemons, 2, seed)
+        assert len(combos) == 12
+        prints = []
+        for i in range(self.PLANS):
+            _, topo, scheme_name, mode = combos[i % len(combos)]
+            forest, merge_fn = schemes[scheme_name]
+            _, plan = chaos._draw_plan(seed, i, daemons)
+            result, injector, _ = chaos._case_outcome(
+                mode, topo, machine, plan, seed, forest, merge_fn, daemons)
+            prints.append(chaos._fingerprint(result, injector))
+        digest = hashlib.sha256(
+            json.dumps(_canonical(prints)).encode()).hexdigest()
+        assert digest == self.GOLDEN
+
+
+ALIAS_SPEC = {"machine": "atlas", "daemons": 16, "num_samples": 3,
+              "seed": 21}
+
+
+class TestDeadDaemonsAlias:
+    """A legacy ``"dead_daemons"`` list is parsed into t=0 crashes."""
+
+    def plan_spec(self):
+        return SessionSpec.from_dict(ALIAS_SPEC).replace(
+            faults=FaultPlan(seed=21).with_crashes([3, 5]))
+
+    def alias_dict(self):
+        return dict(ALIAS_SPEC, dead_daemons=[5, 3])
+
+    def test_spec_json_loads_to_crash_plan(self):
+        spec = SessionSpec.from_json(json.dumps(self.alias_dict()))
+        assert spec == self.plan_spec()
+        assert "dead_daemons" not in spec.to_dict()
+
+    def test_empty_alias_adds_no_plan(self):
+        spec = SessionSpec.from_dict(dict(ALIAS_SPEC, dead_daemons=[]))
+        assert spec.faults is None
+
+    def test_alias_merges_into_explicit_plan(self):
+        data = self.alias_dict()
+        data["faults"] = FaultPlan(
+            seed=4, stalls=(DaemonStall(rank=1),)).to_dict()
+        spec = SessionSpec.from_dict(data)
+        assert spec.faults.seed == 4
+        assert spec.faults.stalls == (DaemonStall(rank=1),)
+        assert [(c.rank, c.time) for c in spec.faults.crashes] == \
+            [(3, 0.0), (5, 0.0)]
+
+    @pytest.mark.parametrize("dead", [[-1], "35", [3.0], [True], 3])
+    def test_invalid_alias_rejected(self, dead):
+        with pytest.raises(SpecValidationError, match="dead_daemons"):
+            SessionSpec.from_dict(dict(ALIAS_SPEC, dead_daemons=dead))
+
+    def test_v2_archive_with_alias_replays_identically(self, tmp_path):
+        from repro.core.session import load_session, save_session
+
+        explicit = self.plan_spec()
+        live = explicit.run().result
+        save_session(live, tmp_path, spec=explicit)
+        # Rewrite the embedded spec the way archives saved before fault
+        # plans existed carry it: a dead_daemons list, no plan.
+        meta_path = tmp_path / "session.json"
+        meta = json.loads(meta_path.read_text())
+        meta["spec"]["faults"] = None
+        meta["spec"]["dead_daemons"] = [3, 5]
+        meta_path.write_text(json.dumps(meta))
+        archive = load_session(tmp_path)
+        assert archive.format_version == 2
+        assert archive.spec == explicit
+        replay = archive.spec.run().result
+        assert replay.timings == live.timings
+        assert [c.ranks for c in replay.classes] == \
+            [c.ranks for c in live.classes]
+        assert replay.degradation == live.degradation
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_alias_and_plan_sessions_agree(self, stream):
+        results = []
+        for spec in (SessionSpec.from_dict(self.alias_dict()),
+                     self.plan_spec()):
+            pipeline = SessionPipeline.from_spec(spec)
+            pipeline.ctx.stream = stream
+            results.append(pipeline.run())
+        alias, plan = results
+        assert alias.timings == plan.timings
+        assert alias.merge.missing_daemons == plan.merge.missing_daemons \
+            == [3, 5]
+        assert alias.degradation == plan.degradation
+        assert alias.degradation.faults_injected == 2
+        # crash detection is charged once, in parallel, in either mode
+        assert FAILURE_DETECT_S <= plan.timings["merge"] \
+            < FAILURE_DETECT_S + 0.1

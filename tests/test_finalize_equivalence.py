@@ -234,9 +234,7 @@ class TestRemapKernel:
 
 
 class TestPipelineSessions:
-    # Specs cannot run a shuffled mapping yet (the default launchers
-    # carry no rng); the randomized cases above cover shuffled maps.
-    @pytest.mark.parametrize("mapping", ["block", "cyclic"])
+    @pytest.mark.parametrize("mapping", ["block", "cyclic", "shuffled"])
     def test_session_finalize_matches_reference(self, mapping):
         spec = SessionSpec(machine="bgl", mode="vn", daemons=8,
                            workload="ring_hang", scheme="hierarchical",

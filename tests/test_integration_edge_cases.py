@@ -5,18 +5,25 @@ import pytest
 from repro.core.frontend import STATFrontEnd
 from repro.core.merge import DenseLabelScheme
 from repro.core.queries import TreeQuery
+from repro.faults import FaultPlan
 from repro.machine.atlas import AtlasMachine
 from repro.machine.bgl import BGLMachine
 from repro.statbench import ring_hang_states, uniform_class_states
 from repro.tbon.topology import Topology
 
 
+def crashed_session(machine, dead):
+    """A block-mapped ring-hang session whose ``dead`` daemons crash
+    before the merge."""
+    pipeline = STATFrontEnd(machine, seed=5).pipeline(
+        ring_hang_states(machine.total_tasks), mapping="block")
+    pipeline.ctx.fault_plan = FaultPlan(seed=5).with_crashes(dead)
+    return pipeline.run()
+
+
 class TestDegradedSessions:
     def test_dead_daemons_skipped_end_to_end(self, bgl_small):
-        fe = STATFrontEnd(bgl_small, seed=5)
-        result = fe.attach_and_analyze(ring_hang_states(1024),
-                                       dead_daemons={3, 7},
-                                       mapping="block")
+        result = crashed_session(bgl_small, {3, 7})
         assert sorted(result.merge.missing_daemons) == [3, 7]
         q = TreeQuery(result.tree_3d)
         absent = set(q.absent_tasks().to_ranks().tolist())
@@ -26,20 +33,14 @@ class TestDegradedSessions:
 
     def test_degraded_classes_still_triage(self, bgl_small):
         """Losing an unrelated daemon must not hide the bug."""
-        fe = STATFrontEnd(bgl_small, seed=5)
-        result = fe.attach_and_analyze(ring_hang_states(1024),
-                                       dead_daemons={9},
-                                       mapping="block")
+        result = crashed_session(bgl_small, {9})
         singles = [c for c in result.classes if c.size == 1]
         assert {c.ranks[0] for c in singles} == {1, 2}
 
     def test_losing_the_bug_daemon_hides_the_bug(self, bgl_small):
         """If daemon 0 (owning ranks 0..63) dies, ranks 1 and 2 vanish —
         the tool can only report what it can reach."""
-        fe = STATFrontEnd(bgl_small, seed=5)
-        result = fe.attach_and_analyze(ring_hang_states(1024),
-                                       dead_daemons={0},
-                                       mapping="block")
+        result = crashed_session(bgl_small, {0})
         assert all(c.size > 1 for c in result.classes)
         q = TreeQuery(result.tree_3d)
         assert 1 in q.absent_tasks()

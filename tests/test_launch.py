@@ -11,7 +11,7 @@ from repro.launch import (
     SerialRshLauncher,
     build_process_table,
 )
-from repro.launch.process_table import pack_table
+from repro.launch.process_table import pack_scan_bytes, pack_table
 from repro.machine.atlas import AtlasMachine
 from repro.machine.bgl import BGLMachine
 from repro.tbon.topology import Topology
@@ -67,19 +67,20 @@ class TestPackTable:
 
     def test_strcat_is_asymptotically_worse(self):
         """The pre-patch packing really does quadratic scanning work."""
-        import time
-
         def cost(tasks, strcat):
             table = build_process_table(tasks // 16, 16, "block")
-            t0 = time.perf_counter()
-            pack_table(table, use_strcat=strcat)
-            return time.perf_counter() - t0
+            return pack_scan_bytes(table, use_strcat=strcat)
 
-        # Growth factor over a 4x size increase: linear path ~4x,
-        # strcat path ~16x. Compare their ratio with a margin.
-        slow_growth = cost(8192, True) / max(cost(2048, True), 1e-9)
-        fast_growth = cost(8192, False) / max(cost(2048, False), 1e-9)
+        # Growth factor of the bytes read over a 4x size increase: linear
+        # path ~4x, strcat path ~16x. Compare their ratio with a margin.
+        slow_growth = cost(8192, True) / cost(2048, True)
+        fast_growth = cost(8192, False) / cost(2048, False)
         assert slow_growth > fast_growth * 1.5
+        assert slow_growth > 15 and fast_growth < 5
+
+    def test_cursor_path_reads_each_byte_once(self):
+        table = build_process_table(4, 16, "block")
+        assert pack_scan_bytes(table) == len(pack_table(table))
 
 
 class TestSerialRsh:

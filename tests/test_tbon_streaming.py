@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.taskset import TaskMap
+from repro.faults import FAILURE_DETECT_S, FaultPlan
 from repro.machine.atlas import AtlasMachine
 from repro.machine.bgl import BGLMachine
 from repro.mpi.stacks import BGLStackModel
@@ -78,11 +79,6 @@ class TestStreamedSum:
                                list(range(8)))
         assert reduction.run() is reduction.run()
 
-    def test_rejects_unknown_failure_mode(self, atlas_small):
-        with pytest.raises(ValueError):
-            sum_stream(atlas_small, Topology.flat(4), [0] * 4,
-                       on_daemon_failure="retry")
-
 
 class TestCoverageAndSnapshots:
     def test_coverage_monotone_and_snapshot_exact(self, atlas_small):
@@ -139,44 +135,36 @@ class TestCoverageAndSnapshots:
         assert not reduction2.snapshot().empty
 
 
+def crashes(daemons, dead):
+    """A bound plan crashing ``dead`` at t=0 (before any emission)."""
+    return FaultPlan(seed=1).with_crashes(dead).bind(daemons)
+
+
 class TestDaemonDeath:
     def test_death_mid_merge_degrades(self, atlas_small):
-        config = StreamConfig(seed=6, jitter_mean_s=0.5,
-                              death_times={3: 0.0, 7: 0.0, 11: 0.0})
+        config = StreamConfig(seed=6, jitter_mean_s=0.5)
         res = sum_stream(atlas_small, Topology.balanced(16, 2),
-                         list(range(16)), config).run()
+                         list(range(16)), config,
+                         faults=crashes(16, {3, 7, 11})).run()
         assert res.missing_daemons == [3, 7, 11]
         assert res.payload == sum(range(16)) - 3 - 7 - 11
         # The parents waited out the socket timeout for the dead ranks.
-        assert res.sim_time >= config.failure_detect_s
+        assert res.sim_time >= FAILURE_DETECT_S
 
     def test_payload_fn_failure_skips(self, atlas_small):
-        def leaf(rank):
-            if rank in (2, 5):
-                raise DaemonFailure(f"daemon {rank} died")
-            return rank
-
         net = StreamingTBON(Topology.balanced(16, 2), atlas_small)
-        res = net.reduce(leaf, lambda ps: sum(ps), lambda p: 100,
-                         config=StreamConfig(seed=1))
+        res = net.reduce(lambda rank: rank, lambda ps: sum(ps),
+                         lambda p: 100, config=StreamConfig(seed=1),
+                         faults=crashes(16, {2, 5}))
         assert res.missing_daemons == [2, 5]
-
-    def test_payload_fn_failure_raises_when_asked(self, atlas_small):
-        def leaf(rank):
-            raise DaemonFailure("boom")
-
-        reduction = StreamingTBON(Topology.flat(4), atlas_small).stream(
-            leaf, lambda ps: sum(ps), lambda p: 100,
-            on_daemon_failure="raise")
-        with pytest.raises(DaemonFailure):
-            reduction.run()
+        assert res.payload == sum(range(16)) - 2 - 5
 
     def test_all_dead_raises(self, atlas_small):
-        config = StreamConfig(seed=1, jitter_mean_s=0.5,
-                              death_times={d: 0.0 for d in range(8)})
+        config = StreamConfig(seed=1, jitter_mean_s=0.5)
         reduction = sum_stream(atlas_small, Topology.flat(8),
-                               list(range(8)), config)
-        with pytest.raises(DaemonFailure):
+                               list(range(8)), config,
+                               faults=crashes(8, range(8)))
+        with pytest.raises(DaemonFailure, match="every daemon"):
             reduction.run()
 
 
@@ -231,22 +219,17 @@ class TestBitIdentityWithBatch:
         forest, merge_fn = _forest_and_merge(scheme, daemons)
         machine = BGLMachine.with_io_nodes(daemons, "co")
         topo = Topology.balanced(daemons, 2)
-
-        def leaf(rank):
-            if rank in dead:
-                raise DaemonFailure(f"daemon {rank} died")
-            return forest[rank]
-
         kwargs = dict(
-            leaf_payload_fn=leaf,
+            leaf_payload_fn=lambda rank: forest[rank],
             merge_fn=merge_fn,
             payload_nbytes=DaemonTrees.serialized_bytes,
             payload_nodes=DaemonTrees.node_count,
         )
         batch = TBONetwork(topo, machine).reduce(
-            **kwargs, on_daemon_failure="skip")
+            **kwargs, faults=crashes(daemons, dead))
         streamed = StreamingTBON(topo, machine).reduce(
-            **kwargs, config=StreamConfig(seed=17, **NOISY))
+            **kwargs, config=StreamConfig(seed=17, **NOISY),
+            faults=crashes(daemons, dead))
         assert streamed.missing_daemons == batch.missing_daemons
         assert streamed.payload.tree_2d.arrays_equal(
             batch.payload.tree_2d)
