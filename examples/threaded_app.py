@@ -42,8 +42,9 @@ def main() -> None:
         emulator = STATBenchEmulator(
             task_map, HierarchicalLabelScheme(), stack_model, state_of,
             num_samples=10, threads_per_process=threads)
+        forest = emulator.build_forest()
         merge = TBONetwork(topo, machine).reduce(
-            emulator.daemon_trees, emulator.merge_filter(),
+            forest.__getitem__, emulator.merge_filter(),
             DaemonTrees.serialized_bytes, DaemonTrees.node_count)
         if threads == 1:
             baseline["sample"] = report.max_seconds

@@ -303,9 +303,8 @@ class MergePhase(Phase):
             dead = injector.dead_at_start()
         emulator = ctx.emulator
 
-        # Build the whole forest up front through the vectorized forest
-        # path (bit-identical to per-rank daemon_trees; dead daemons are
-        # excluded so emulation counters match the lazy per-rank path).
+        # Build the whole forest up front, in one pass; daemons crashed
+        # at t<=0 are left out, as no leaf payload is asked of them.
         live = [d for d in range(len(ctx.task_map)) if d not in dead]
         forest = dict(zip(live, emulator.build_forest(daemon_ids=live)))
         kwargs = dict(

@@ -16,8 +16,10 @@ Analysis Tool itself:
   representative-task selection.
 * :mod:`repro.core.stackwalk` / :mod:`repro.core.sampling` — the
   StackWalker-style sampler and its cost model.
-* :mod:`repro.core.daemon` / :mod:`repro.core.frontend` — tool back ends and
-  the front end orchestrating launch → attach → sample → merge → report.
+* :mod:`repro.core.forest` — the daemons' local build: every daemon's
+  locally merged 2D/3D trees from a sampled-state matrix, in one pass.
+* :mod:`repro.core.frontend` — the front end orchestrating launch →
+  attach → sample → merge → report.
 """
 
 from repro.core.codec import pack_tree, unpack_tree

@@ -2,7 +2,7 @@
 
 The object build path inserts every sampled trace into a
 :class:`~repro.core.prefix_tree.PrefixTree` and flattens it level by
-level (``STATDaemon._materialize_arrays``).  This module produces the
+level (the oracle in :mod:`repro.perf.reference`).  This module produces the
 same BFS-level arrays straight from a daemon's *distinct-trace* table —
 padded frame-id rows in first-seen order — with sort/segment-boundary
 operations, no per-node objects:

@@ -1,15 +1,16 @@
 """Whole-forest vectorized tree construction.
 
-:func:`build_forest` builds *every* daemon's locally merged ``(2D, 3D)``
-:class:`~repro.core.treearrays.TreeArrays` pair in one pass.  The
-per-daemon array path (:meth:`~repro.core.daemon.STATDaemon.
-sample_many_arrays`) already avoids per-task objects, but at 8,192
-daemons its cost is dominated by *fixed per-NumPy-call overhead* — each
-daemon's element analysis is a dozen kernel launches over a few hundred
-elements.  This module hoists those launches to forest scope:
+:func:`build_forest` is the one production builder of daemon trees: it
+turns a sampled state matrix into *every* daemon's locally merged
+``(2D, 3D)`` :class:`~repro.core.treearrays.TreeArrays` pair.  Per-daemon
+element analysis would be dominated by *fixed per-NumPy-call overhead*
+at thousands of daemons (a dozen kernel launches over a few hundred
+elements each), so the launches are hoisted to forest scope:
 
-* rank states are fetched with **one** provider call per sampling
-  instant for the whole job;
+* rank states arrive as one ``(instants, ranks)`` matrix of interned
+  state ids — the emulator fills it from a provider's ``states_array``
+  (or interns a scalar ``state_of``), the timeline sampler records one
+  row per snapshot;
 * progress-engine depth draws still come from each daemon's own RNG
   (bit-exactness demands it) but land in one ``(daemons, elements)``
   matrix, and state+draw tuples resolve to interned trace ids through a
@@ -27,14 +28,14 @@ elements.  This module hoists those launches to forest scope:
   group instead of per daemon.
 
 What remains per daemon is a few array views, an optional RNG draw, and
-one ``TreeArrays`` allocation.  Output is bit-identical to the
-per-daemon paths (pinned by ``tests/test_build_equivalence.py``).
-
-Rows whose states draw interleaved depth+time-of-day coins
-(``SIG_DEPTH_TOD``) or mix drawing and non-drawing states replay the
-exact scalar draw sequence through the batch sampler;
-multi-threaded populations and ragged task maps fall back to the
-per-daemon kernel — never approximated.
+one ``TreeArrays`` allocation.  Multi-threaded populations and rows
+whose states draw interleaved depth+time-of-day coins (``SIG_DEPTH_TOD``)
+or mix drawing and non-drawing states replay the exact scalar draw
+sequence through :class:`~repro.core.sampling.BatchWalkSampler`; ragged
+task maps run the pipeline once per distinct daemon width, and daemons
+without tasks get empty trees.  Output is bit-identical to the frozen
+per-object oracle (:func:`repro.perf.reference.reference_daemon_trees`,
+pinned by ``tests/test_build_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _lut_resolve(model: StackModel, ukeys: np.ndarray) -> np.ndarray:
 
 @contract("elems:(r,n):int64 -> seg_ptr:(q):int64, first:(s):int64, "
           "vals:(s):int64, packed:(s,p):uint8")
-def _segment_rows(elems: np.ndarray, width: int
+def _segment_rows(elems: np.ndarray, width: int, threads: int
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                              np.ndarray]:
     """Row-wise grouping of elements by trace id, forest-wide.
@@ -107,8 +108,9 @@ def _segment_rows(elems: np.ndarray, width: int
     For each row (daemon) of ``elems``, elements with equal trace ids
     form a segment; the stable sort keeps original element order within
     a segment, so a segment's first element is the trace's first
-    occurrence and its slots (column mod width — elements are slot-major
-    per instant) ascend within each instant.  Returns flat arrays over
+    occurrence and its slots ascend within each instant (elements are
+    ``(instant, slot, thread)``-major, so column ``c`` belongs to slot
+    ``(c % (width * threads)) // threads``).  Returns flat arrays over
     all segments of all rows:
 
     * ``seg_ptr`` — ``seg_ptr[i]:seg_ptr[i+1]`` are row ``i``'s segments;
@@ -121,7 +123,9 @@ def _segment_rows(elems: np.ndarray, width: int
     num_rows, n = elems.shape
     order = np.argsort(elems, axis=1, kind="stable")
     flat = np.take_along_axis(elems, order, axis=1).ravel()
-    sorted_slots = (order % width).ravel()
+    sorted_slots = (order % (width * threads)).ravel()
+    if threads > 1:
+        sorted_slots //= threads
     is_start = np.empty(flat.size, dtype=bool)
     is_start[0] = True
     np.not_equal(flat[1:], flat[:-1], out=is_start[1:])
@@ -168,18 +172,18 @@ def _pack_segments(starts: np.ndarray, counts: np.ndarray,
 class _ForestScheme:
     """Per-scheme constants shared by the assembly loop."""
 
-    __slots__ = ("scheme", "dense", "total_tasks", "nbytes")
+    __slots__ = ("scheme", "dense", "total_tasks")
 
-    def __init__(self, scheme: LabelScheme, width: int) -> None:
+    def __init__(self, scheme: LabelScheme) -> None:
         self.scheme = scheme
         self.dense = isinstance(scheme, DenseLabelScheme)
         self.total_tasks = scheme.total_tasks if self.dense else 0
-        self.nbytes = (width + 7) // 8  # daemon-width label row bytes
 
 
 @contract("elems:(r,n):int64, ranks_matrix:(r,w):int64 -> *")
 def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
-                    model: StackModel, fscheme: _ForestScheme,
+                    threads: int, model: StackModel,
+                    fscheme: _ForestScheme,
                     ranks_matrix: np.ndarray,
                     row_caches: Optional[List[dict]],
                     ) -> List[TreeArrays]:
@@ -193,7 +197,7 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
     group's daemons in a fixed number of array ops.
     """
     rows = len(chunk)
-    seg_ptr, first, vals, packed = _segment_rows(elems, width)
+    seg_ptr, first, vals, packed = _segment_rows(elems, width, threads)
     seg_counts = np.diff(seg_ptr)
     kmax = int(seg_counts.max())
     nseg = vals.size
@@ -256,7 +260,7 @@ def _assemble_chunk(chunk: List[int], elems: np.ndarray, width: int,
         rsel, csel = np.nonzero(is_first)
         kept = np.ascontiguousarray(
             bits.view(np.uint8).reshape(rows_g.size, num_combos, -1)
-            [rsel, csel][:, :fscheme.nbytes])
+            [rsel, csel][:, :(width + 7) // 8])
         offs = np.concatenate(([0], np.cumsum(is_first.sum(axis=1))))
         for j, ri in enumerate(rows_g.tolist()):  # repro-lint: disable=hot-path-loop (per daemon: slices shared group arrays into one TreeArrays)
             daemon_id = chunk[ri]
@@ -285,7 +289,7 @@ def _dense_tree(struct: TreeStructure, daemon_bits: np.ndarray,
     rows: List[np.ndarray] = []
     spans: List[Tuple[int, int]] = []
     blob = daemon_bits.tobytes()
-    nbytes = fscheme.nbytes
+    nbytes = (width + 7) // 8  # daemon-width label row bytes
     for r in range(daemon_bits.shape[0]):  # repro-lint: disable=hot-path-loop (per unique label row; dense trees have a handful)
         bkey = blob[r * nbytes:(r + 1) * nbytes]
         hit = row_cache.get(bkey)
@@ -309,119 +313,138 @@ def _dense_tree(struct: TreeStructure, daemon_bits: np.ndarray,
 
 
 def build_forest(task_map: TaskMap, scheme: LabelScheme,
-                 stack_model: StackModel,
-                 states_array: Callable[[np.ndarray], np.ndarray],
-                 num_samples: int,
+                 stack_model: StackModel, states: np.ndarray,
                  rng_of: Callable[[int], Optional[np.random.Generator]],
                  daemon_ids: Optional[List[int]] = None,
                  threads_per_process: int = 1,
                  ) -> List[Tuple[TreeArrays, TreeArrays]]:
     """Build ``(2D, 3D)`` tree pairs for a whole daemon population.
 
-    ``states_array`` is queried **once per sampling instant for the
-    entire job** (it is rank-wise by contract, so the values equal the
-    per-daemon queries of the scalar paths); ``rng_of`` must return the
-    generator the per-daemon path would use for that daemon (the
-    emulator's ``SeedStream(seed).rng(f"daemon-{id}")``) — it is only
-    invoked for daemons whose states draw from the RNG, and draw order
-    within a daemon matches the scalar walk order exactly.
+    ``states[i, r]`` is rank ``r``'s interned state id
+    (:data:`~repro.mpi.runtime.STATES`) at sampling instant ``i``: the 3D
+    tree covers every instant, the 2D tree the last one.  ``rng_of``
+    must return the generator daemon ``d`` draws its walks from (the
+    emulator's ``SeedStream(seed).rng(f"daemon-{d}")``); it is invoked
+    at most once per daemon (only for daemons whose walks draw, unless
+    ``threads_per_process > 1``), and draw order within a daemon matches
+    the scalar walk order exactly.  Pairs come back in ``daemon_ids``
+    order (all daemons when ``None``).
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+    states = np.asarray(states, dtype=np.int64)
+    total = task_map.total_tasks
+    if states.ndim != 2 or states.shape[0] < 1:
+        raise ValueError("states must be a (num_samples >= 1, ranks) "
+                         "matrix of state ids")
+    if states.shape[1] != total:
+        raise ValueError(
+            f"states has {states.shape[1]} columns for {total} ranks")
     ids = list(range(len(task_map))) if daemon_ids is None \
         else [int(d) for d in daemon_ids]
-    if not ids:
-        return []
-    widths = [task_map.tasks_of(d) for d in ids]
-    width = widths[0]
-    if threads_per_process != 1 or width == 0 \
-            or any(w != width for w in widths):
-        return _forest_fallback(task_map, scheme, stack_model,
-                                states_array, num_samples, rng_of, ids,
-                                threads_per_process)
+    fscheme = _ForestScheme(scheme)
+    widths = np.asarray([task_map.tasks_of(d) for d in ids],
+                        dtype=np.int64)
+    out: List[Tuple[TreeArrays, TreeArrays]] = [None] * len(ids)
+    for width in np.unique(widths).tolist():  # repro-lint: disable=hot-path-loop (per distinct daemon width; uniform maps have one)
+        where = np.flatnonzero(widths == width).tolist()
+        group = [ids[i] for i in where]
+        PERF.add(BUILD_DAEMONS, len(group))
+        if width == 0:
+            pairs = [(_empty_tree(d, fscheme), _empty_tree(d, fscheme))
+                     for d in group]
+        else:
+            pairs = _build_width(task_map, stack_model, states, rng_of,
+                                 group, width, threads_per_process,
+                                 fscheme)
+        for i, pair in zip(where, pairs):  # repro-lint: disable=hot-path-loop (scatter back to daemon_ids order)
+            out[i] = pair
+    return out
 
-    total = task_map.total_tasks
-    all_ranks = np.arange(total, dtype=np.int64)
-    sid_of_rank: List[np.ndarray] = []
-    for _ in range(num_samples):  # repro-lint: disable=hot-path-loop (one provider query per sampling instant)
-        sids = np.asarray(states_array(all_ranks), dtype=np.int64)
-        if sids.size != total:
-            raise ValueError(
-                f"states_array returned {sids.size} ids for {total} ranks")
-        sid_of_rank.append(sids)
 
-    n = width * num_samples
-    low, high = stack_model.DEPTH_RANGE
-    depth_base = high + 1
-    sig_of_state = stack_model.state_signatures()
-    fscheme = _ForestScheme(scheme, width)
-    out: List[Tuple[TreeArrays, TreeArrays]] = []
-    PERF.add(BUILD_DAEMONS, len(ids))
+def _build_width(task_map: TaskMap, stack_model: StackModel,
+                 states: np.ndarray,
+                 rng_of: Callable[[int], Optional[np.random.Generator]],
+                 ids: List[int], width: int, threads: int,
+                 fscheme: _ForestScheme,
+                 ) -> List[Tuple[TreeArrays, TreeArrays]]:
+    """The matrix pipeline over daemons that all have ``width`` tasks."""
+    n = width * threads * states.shape[0]
     PERF.add(BUILD_TRACES, float(len(ids)) * n)
-
+    out: List[Tuple[TreeArrays, TreeArrays]] = []
     for lo in range(0, len(ids), FOREST_CHUNK):  # repro-lint: disable=hot-path-loop (per bounded-memory daemon block)
         chunk = ids[lo:lo + FOREST_CHUNK]
         ranks_matrix = np.vstack([task_map.ranks_of(d) for d in chunk])
         sids_matrix = np.concatenate(
-            [s[ranks_matrix] for s in sid_of_rank], axis=1)
-        sigs = sig_of_state[sids_matrix]
-        draws_row = sigs.any(axis=1)
-        depth_row = (sigs == SIG_DEPTH).all(axis=1)
-        depths = np.zeros((len(chunk), n), dtype=np.int64)
-        general: List[Tuple[int, np.ndarray]] = []
-        for i in np.flatnonzero(draws_row).tolist():  # repro-lint: disable=hot-path-loop (per drawing daemon: RNG draws must come from each daemon's own generator)
-            if depth_row[i]:
-                rng = rng_of(chunk[i])
-                if rng is not None and high > low:
-                    depths[i] = rng.integers(low, high + 1, size=n)
-                else:
-                    depths[i] = low
-            else:
-                # Exact slow path: mixed-signature / time-of-day rows
-                # replay the scalar draw sequence through the batch
-                # sampler and bypass the composite-key table.
-                general.append((i, BatchWalkSampler(
-                    stack_model, rng_of(chunk[i])).trace_ids(
-                        sids_matrix[i])))
-        ukeys = (sids_matrix * depth_base + depths) * 2
-        if general:
-            elems = np.empty_like(ukeys)
-            ok_rows = np.ones(len(chunk), dtype=bool)
-            ok_rows[[i for i, _ in general]] = False
-            elems[ok_rows] = _lut_resolve(
-                stack_model, ukeys[ok_rows].ravel()
-            ).reshape(-1, n)
-            for i, row_ids in general:  # repro-lint: disable=hot-path-loop (per fallback row, rare by construction)
-                elems[i] = row_ids
+            [row[ranks_matrix] for row in states], axis=1)
+        if threads > 1:
+            elems = np.vstack([
+                BatchWalkSampler(stack_model, rng_of(d), threads)
+                .trace_ids(row)
+                for d, row in zip(chunk, sids_matrix)])
         else:
-            elems = _lut_resolve(
-                stack_model, ukeys.ravel()).reshape(ukeys.shape)
-
+            elems = _trace_matrix(chunk, sids_matrix, stack_model, rng_of)
         row_caches = [{} for _ in chunk] if fscheme.dense else None
-        trees_2d = _assemble_chunk(chunk, elems[:, n - width:], width,
+        span = width * threads
+        trees_2d = _assemble_chunk(chunk, elems[:, n - span:], width,
+                                   threads, stack_model, fscheme,
+                                   ranks_matrix, row_caches)
+        trees_3d = _assemble_chunk(chunk, elems, width, threads,
                                    stack_model, fscheme, ranks_matrix,
                                    row_caches)
-        trees_3d = _assemble_chunk(chunk, elems, width, stack_model,
-                                   fscheme, ranks_matrix, row_caches)
         out.extend(zip(trees_2d, trees_3d))
     return out
 
 
-def _forest_fallback(task_map: TaskMap, scheme: LabelScheme,
-                     stack_model: StackModel,
-                     states_array: Callable[[np.ndarray], np.ndarray],
-                     num_samples: int,
-                     rng_of: Callable[[int],
-                                      Optional[np.random.Generator]],
-                     ids: List[int], threads_per_process: int,
-                     ) -> List[Tuple[TreeArrays, TreeArrays]]:
-    """Exact per-daemon path for shapes the matrix pipeline skips."""
-    from repro.core.daemon import STATDaemon
+@contract("sids_matrix:(r,n):int64 -> elems:(r,n):int64")
+def _trace_matrix(chunk: List[int], sids_matrix: np.ndarray,
+                  stack_model: StackModel,
+                  rng_of: Callable[[int], Optional[np.random.Generator]],
+                  ) -> np.ndarray:
+    """Single-threaded trace ids for a chunk's sampled state matrix."""
+    low, high = stack_model.DEPTH_RANGE
+    depth_base = high + 1
+    n = sids_matrix.shape[1]
+    sigs = stack_model.state_signatures()[sids_matrix]
+    draws_row = sigs.any(axis=1)
+    depth_row = (sigs == SIG_DEPTH).all(axis=1)
+    depths = np.zeros(sids_matrix.shape, dtype=np.int64)
+    general: List[Tuple[int, np.ndarray]] = []
+    for i in np.flatnonzero(draws_row).tolist():  # repro-lint: disable=hot-path-loop (per drawing daemon: RNG draws must come from each daemon's own generator)
+        if depth_row[i]:
+            rng = rng_of(chunk[i])
+            if rng is not None and high > low:
+                depths[i] = rng.integers(low, high + 1, size=n)
+            else:
+                depths[i] = low
+        else:
+            # Exact slow path: mixed-signature / time-of-day rows replay
+            # the scalar draw sequence through the batch sampler and
+            # bypass the composite-key table.
+            general.append((i, BatchWalkSampler(
+                stack_model, rng_of(chunk[i])).trace_ids(sids_matrix[i])))
+    ukeys = (sids_matrix * depth_base + depths) * 2
+    if not general:
+        return _lut_resolve(stack_model, ukeys.ravel()).reshape(ukeys.shape)
+    elems = np.empty_like(ukeys)
+    ok_rows = np.ones(len(chunk), dtype=bool)
+    ok_rows[[i for i, _ in general]] = False
+    elems[ok_rows] = _lut_resolve(
+        stack_model, ukeys[ok_rows].ravel()).reshape(-1, n)
+    for i, row_ids in general:  # repro-lint: disable=hot-path-loop (per fallback row, rare by construction)
+        elems[i] = row_ids
+    return elems
 
-    out = []
-    for d in ids:  # repro-lint: disable=hot-path-loop (fallback delegates to the per-daemon batch kernel)
-        daemon = STATDaemon(d, task_map, scheme, stack_model,
-                            rng=rng_of(d),
-                            threads_per_process=threads_per_process)
-        out.append(daemon.sample_many_arrays(states_array, num_samples))
-    return out
+
+def _empty_tree(daemon_id: int, fscheme: _ForestScheme) -> TreeArrays:
+    """The tree of a daemon that has no tasks: no nodes, no label rows."""
+    none = np.zeros(0, dtype=np.int64)
+    offsets = np.zeros(1, dtype=np.int64)
+    if fscheme.dense:
+        return TreeArrays._trusted(
+            KIND_DENSE, none, none, none, offsets,
+            np.zeros((0, (fscheme.total_tasks + 7) // 8), dtype=np.uint8),
+            spans=np.zeros((0, 2), dtype=np.int64),
+            width=fscheme.total_tasks)
+    return TreeArrays._trusted(
+        KIND_HIER, none, none, none, offsets,
+        np.zeros((0, 0), dtype=np.uint8),
+        layout=DaemonLayout.shared(daemon_id, 0))

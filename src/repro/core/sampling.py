@@ -4,10 +4,11 @@ Two things live here.  :class:`BatchWalkSampler` is the *data* side's
 array kernel — it turns one daemon's interned state ids into interned
 trace ids for a whole sampling instant at once, consuming the daemon's
 RNG bit-for-bit like the scalar :class:`~repro.core.stackwalk.StackWalker`
-loop it replaces (``STATDaemon.sample_many_arrays`` builds trees from its
-output without instantiating a single ``StackTrace``).  The rest of the
-module computes how long the phase takes on the simulated platform.  Per
-daemon the cost has three parts:
+loop it replaces (:func:`repro.core.forest.build_forest` replays
+threaded and mixed-signature rows through it without instantiating a
+single ``StackTrace``).  The rest of the module computes how long the
+phase takes on the simulated platform.  Per daemon the cost has three
+parts:
 
 1. **Symbol tables** — before a walk, the daemon reads the symbol table
    of the executable and each shared library from wherever it is staged.
@@ -82,9 +83,12 @@ class BatchWalkSampler:
 
         ``state_ids[slot]`` is the interned state of the daemon-local
         slot; the result has one entry per ``(slot, thread)`` element,
-        slot-major — the exact walk order of
-        :meth:`~repro.core.daemon.STATDaemon.sample_once`.
+        slot-major — the order in which a daemon walks its processes and
+        threads.  Several instants concatenate: the elements then follow
+        ``(instant, slot, thread)`` order.
         """
+        if not state_ids.size:
+            return np.zeros(0, dtype=np.int64)
         model = self.stack_model
         sig_slot = model.state_signatures()[state_ids]
         threads = self.threads_per_process

@@ -10,21 +10,26 @@ the window, exactly what STAT's users read to see *where time goes*.
 :class:`TimelineSampler` interleaves the application's discrete-event
 execution with sampling pauses: run the engine to t₁, walk every rank,
 resume to t₂, walk again, …  This mirrors the real tool, which stops and
-resumes the processes around each walk.
+resumes the processes around each walk.  Each pause records one row of
+interned rank states; the daemons' trees are then built from the whole
+recording in one :func:`~repro.core.forest.build_forest` pass.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from repro.core.daemon import STATDaemon
+import numpy as np
+
+from repro.core.forest import build_forest
 from repro.core.merge import LabelScheme
 from repro.core.prefix_tree import PrefixTree
 from repro.core.taskset import TaskMap
 from repro.machine.base import MachineModel
-from repro.mpi.runtime import MPIRuntime
+from repro.mpi.runtime import STATES, MPIRuntime
 from repro.mpi.stacks import StackModel
 from repro.sim.engine import Engine
+from repro.sim.process import Process
 from repro.sim.random import SeedStream
 
 __all__ = ["TimelineSampler", "TimelineResult"]
@@ -34,19 +39,22 @@ class TimelineResult:
     """Everything one timeline run produced."""
 
     __slots__ = ("runtime", "sample_times", "tree_2d", "tree_3d",
-                 "states_seen")
+                 "states", "states_seen")
 
     def __init__(self, runtime: MPIRuntime, sample_times: List[float],
                  tree_2d: PrefixTree, tree_3d: PrefixTree,
-                 states_seen: List[set]) -> None:
+                 states: np.ndarray) -> None:
         self.runtime = runtime
         self.sample_times = sample_times
         #: merged 2D tree of the *last* instant
         self.tree_2d = tree_2d
         #: merged 3D tree across all instants
         self.tree_3d = tree_3d
+        #: ``(instants, ranks)`` interned state ids the trees were built from
+        self.states = states
         #: per-instant sets of observed state kinds (diagnostics)
-        self.states_seen = states_seen
+        self.states_seen = [{STATES.key_of(sid)[0] for sid in
+                             np.unique(row).tolist()} for row in states]
 
     @property
     def hung(self) -> bool:
@@ -86,11 +94,8 @@ class TimelineSampler:
 
         engine = Engine()
         runtime = MPIRuntime(engine, self.machine.total_tasks)
-        for rank, ctx in enumerate(runtime.contexts):
-            pass  # contexts exist; programs start below
-        # Start rank programs without running to completion.
-        from repro.sim.process import Process
 
+        # Start rank programs without running to completion.
         def wrapped(ctx):
             ctx._set_state("compute", "main")
             result = yield from program(ctx)
@@ -101,25 +106,19 @@ class TimelineSampler:
             runtime.processes[rank] = Process(engine, wrapped(ctx),
                                               name=f"rank{rank}")
 
-        seeds = SeedStream(self.seed).child("timeline")
-        daemons = [
-            STATDaemon(d, self.task_map, self.scheme, self.stack_model,
-                       rng=seeds.rng(f"daemon-{d}"))
-            for d in sorted(self.task_map.daemons())
-        ]
-
-        states_seen: List[set] = []
+        rows = []
         for t in times:
             engine.run(until=t)
-            kinds = set()
-            for daemon in daemons:
-                daemon.sample_once(runtime.state_of)
-            for rank in range(runtime.size):
-                kinds.add(runtime.state_of(rank).kind)
-            states_seen.append(kinds)
+            rows.append(STATES.ids_of(map(runtime.state_of,
+                                          range(runtime.size))))
+        states = np.vstack(rows)
 
-        trees_2d = [d.tree_2d for d in daemons]
-        trees_3d = [d.tree_3d for d in daemons]
+        seeds = SeedStream(self.seed).child("timeline")
+        pairs = build_forest(self.task_map, self.scheme, self.stack_model,
+                             states, lambda d: seeds.rng(f"daemon-{d}"),
+                             daemon_ids=sorted(self.task_map.daemons()))
+        trees_2d = [t2 for t2, _ in pairs]
+        trees_3d = [t3 for _, t3 in pairs]
         merged_2d = self.scheme.merge(trees_2d) if len(trees_2d) > 1 \
             else trees_2d[0]
         merged_3d = self.scheme.merge(trees_3d) if len(trees_3d) > 1 \
@@ -128,5 +127,5 @@ class TimelineSampler:
             runtime, times,
             self.scheme.finalize(merged_2d, self.task_map),
             self.scheme.finalize(merged_3d, self.task_map),
-            states_seen,
+            states,
         )

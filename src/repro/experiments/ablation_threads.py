@@ -62,9 +62,10 @@ def run(quick: bool = False,
         emulator = STATBenchEmulator(
             task_map, HierarchicalLabelScheme(), stack_model, state_of,
             num_samples=10, threads_per_process=threads, seed=seed)
+        forest = emulator.build_forest()
         network = TBONetwork(topo, machine)
         merge = network.reduce(
-            emulator.daemon_trees, emulator.merge_filter(),
+            forest.__getitem__, emulator.merge_filter(),
             DaemonTrees.serialized_bytes, DaemonTrees.node_count)
         result.rows.append(Row("merge", threads, merge.sim_time))
     result.notes.append(

@@ -111,9 +111,10 @@ def timed_merge(machine: MachineModel, topology: Topology,
     emulator = STATBenchEmulator(
         task_map, scheme, stack_model, state_of,
         num_samples=num_samples, seed=seed)
+    forest = emulator.build_forest()
     network = TBONetwork(topology, machine)
     return network.reduce(
-        leaf_payload_fn=emulator.daemon_trees,
+        leaf_payload_fn=forest.__getitem__,
         merge_fn=emulator.merge_filter(),
         payload_nbytes=DaemonTrees.serialized_bytes,
         payload_nodes=DaemonTrees.node_count,

@@ -11,6 +11,8 @@ per rule family:
 * :mod:`~repro.lint.rules.hot_path` — per-node Python loops/recursion in
   modules marked ``# repro-lint: hot-path``;
 * :mod:`~repro.lint.rules.perf_counters` — PERF counter-name discipline;
+* :mod:`~repro.lint.rules.oracle_isolation` — production code importing
+  the frozen oracles in :mod:`repro.perf.reference`;
 * :mod:`~repro.lint.rules.spec_drift` — ``SessionSpec`` fields and
   workload ids versus the session-format docs;
 * :mod:`~repro.lint.rules.spec_hygiene` — mutable defaults and
@@ -28,6 +30,7 @@ not just rule modules) and register here too:
 from repro.lint.rules import (  # noqa: F401 - imported for registration
     determinism,
     hot_path,
+    oracle_isolation,
     perf_counters,
     pickle_safety,
     spec_drift,

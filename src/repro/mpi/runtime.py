@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Generator, Iterable, List,
+                    Optional, Tuple)
+
+import numpy as np
 
 from repro.sim.engine import Engine, Event, SimulationError
 from repro.sim.process import Process
@@ -66,7 +69,7 @@ class RankState:
 class StateInterner:
     """Process-wide dense ids for sampler-visible ``(kind, where)`` pairs.
 
-    The array build path (``STATDaemon.sample_many_arrays``) moves rank
+    The build path (:func:`repro.core.forest.build_forest`) moves rank
     states around as small integers the way :data:`repro.core.interning.FRAMES`
     moves frames; ``since`` is sampling-irrelevant (stack models never read
     it), so two states sharing ``(kind, where)`` share an id.  Ids are
@@ -88,6 +91,11 @@ class StateInterner:
             sid = self._ids[key] = len(self._keys)
             self._keys.append(key)
         return sid
+
+    def ids_of(self, states: Iterable[RankState]) -> np.ndarray:
+        """Interned ids of ``states``, in order (one sampled-state row)."""
+        return np.fromiter((self.intern(s.kind, s.where) for s in states),
+                           dtype=np.int64)
 
     def key_of(self, sid: int) -> Tuple[str, str]:
         """The ``(kind, where)`` pair of an interned id."""

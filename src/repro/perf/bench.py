@@ -38,7 +38,8 @@ from repro.core.taskset import TaskMap
 from repro.core.treearrays import TreeArrays
 from repro.mpi.stacks import BGLStackModel
 from repro.perf.counters import PERF
-from repro.perf.reference import reference_merge
+from repro.perf.reference import reference_daemon_arrays, reference_merge
+from repro.sim.random import SeedStream
 from repro.statbench import ring_hang_states
 from repro.statbench.emulator import STATBenchEmulator
 
@@ -222,17 +223,20 @@ def _bench_build(scheme: LabelScheme, daemons: int, samples: int,
     ref_ids = list(range(daemons)) if not sample_reference else \
         list(range(0, daemons, max(1, daemons // BUILD_REFERENCE_SAMPLE))
              )[:BUILD_REFERENCE_SAMPLE]
-    reference = fresh()
+    seeds = SeedStream(seed)
     start = time.perf_counter()
-    ref_pairs = [reference.daemon_trees(d) for d in ref_ids]
+    ref_pairs = [reference_daemon_arrays(
+        d, task_map, scheme, model, states.states_array, samples,
+        seeds.rng(f"daemon-{d}")) for d in ref_ids]
     reference_seconds = time.perf_counter() - start
     if sample_reference:
         reference_seconds *= daemons / len(ref_ids)
 
     equal = all(
-        got.tree_2d.arrays_equal(want.tree_2d)
-        and got.tree_3d.arrays_equal(want.tree_3d)
-        for got, want in zip((pairs[d] for d in ref_ids), ref_pairs))
+        got.tree_2d.arrays_equal(want_2d)
+        and got.tree_3d.arrays_equal(want_3d)
+        for got, (want_2d, want_3d) in zip((pairs[d] for d in ref_ids),
+                                           ref_pairs))
     return BenchEntry(
         name=f"build-{scheme.name}-vn-{daemons}",
         scheme=scheme.name,

@@ -1,24 +1,23 @@
 """Daemon-tree emulation at scale.
 
 The emulator stands in for a fleet of live daemons: given a rank-state
-provider it constructs each daemon's locally merged trees on demand.  Used
-as the ``leaf_payload_fn`` of a TBO̅N reduction, trees are created lazily
-and released as soon as their parent filter consumes them, so the
-full-machine runs (1,664 daemons, 212,992 tasks) never materialize more
-than one tree level at a time.
+provider it samples every rank's state ``num_samples`` times and builds
+each daemon's locally merged trees in one forest-scope pass
+(:func:`repro.core.forest.build_forest`).  Callers build the forest once
+and hand ``forest.__getitem__`` to a TBO̅N reduction as its
+``leaf_payload_fn``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, List, Optional
 
-from typing import List, Optional
+import numpy as np
 
-from repro.core.daemon import STATDaemon
 from repro.core.forest import build_forest as _build_forest_arrays
 from repro.core.merge import LabelScheme
 from repro.core.taskset import TaskMap
-from repro.mpi.runtime import RankState
+from repro.mpi.runtime import STATES, RankState
 from repro.mpi.stacks import StackModel
 from repro.sim.random import SeedStream
 
@@ -55,7 +54,7 @@ class DaemonTrees:
 
 
 class STATBenchEmulator:
-    """Factory of per-daemon locally merged trees."""
+    """Builder of a daemon population's locally merged trees."""
 
     def __init__(self, task_map: TaskMap, scheme: LabelScheme,
                  stack_model: StackModel,
@@ -72,58 +71,40 @@ class STATBenchEmulator:
         self.num_samples = num_samples
         self.threads_per_process = threads_per_process
         self._seeds = SeedStream(seed)
-        self.daemons_emulated = 0
 
-    def daemon_trees(self, daemon_id: int) -> DaemonTrees:
-        """Build daemon ``daemon_id``'s locally merged 2D+3D trees.
+    def _sampled_states(self) -> np.ndarray:
+        """The ``(num_samples, total_tasks)`` matrix of sampled state ids.
 
-        Deterministic per (seed, daemon): the same daemon always samples
-        the same traces regardless of emulation order.  Providers
-        exposing the batch ``states_array`` API (all statbench
-        generators) build through the vectorized array path
-        (:meth:`~repro.core.daemon.STATDaemon.sample_many_arrays`);
-        plain callables — e.g. a live runtime's ``state_of`` — keep the
-        per-object path.  Both yield bit-identical trees for the same
-        seed.
+        One provider query per instant for the whole job: providers with
+        the batch ``states_array`` API (all statbench generators) answer
+        it directly; plain ``state_of`` callables — e.g. a live runtime's
+        — are walked rank by rank and interned through
+        :data:`~repro.mpi.runtime.STATES`.
         """
-        rng = self._seeds.rng(f"daemon-{daemon_id}")
-        daemon = STATDaemon(
-            daemon_id, self.task_map, self.scheme, self.stack_model,
-            rng=rng, threads_per_process=self.threads_per_process)
+        total = self.task_map.total_tasks
         batch = getattr(self.state_of, "states_array", None)
         if batch is not None:
-            tree_2d, tree_3d = daemon.sample_many_arrays(
-                batch, self.num_samples)
+            ranks = np.arange(total, dtype=np.int64)
+            rows = [batch(ranks) for _ in range(self.num_samples)]
         else:
-            daemon.collect_samples(self.state_of, self.num_samples)
-            tree_2d, tree_3d = daemon.trees_arrays()
-        self.daemons_emulated += 1
-        return DaemonTrees(tree_2d, tree_3d)
+            rows = [STATES.ids_of(map(self.state_of, range(total)))
+                    for _ in range(self.num_samples)]
+        return np.vstack(rows)
 
     def build_forest(self, daemon_ids: Optional[List[int]] = None
                      ) -> List[DaemonTrees]:
-        """Build many daemons' trees in one forest-scope pass.
+        """Build daemons' ``(2D, 3D)`` trees in one forest-scope pass.
 
-        Semantically ``[self.daemon_trees(d) for d in daemon_ids]`` (all
-        daemons when ``daemon_ids`` is ``None``) and bit-identical to
-        it, but element analysis runs over the whole population at once
-        (:func:`repro.core.forest.build_forest`), which is what makes
-        million-task sweep points build in under a second.  Providers
-        without the batch ``states_array`` API fall back to the
-        per-daemon path.
+        Deterministic per (seed, daemon): a daemon's trees do not depend
+        on which other daemons are built alongside it, or in what order.
+        ``daemon_ids`` defaults to every daemon of the task map.
         """
-        batch = getattr(self.state_of, "states_array", None)
-        if batch is None:
-            ids = range(len(self.task_map)) if daemon_ids is None \
-                else daemon_ids
-            return [self.daemon_trees(d) for d in ids]
         pairs = _build_forest_arrays(
-            self.task_map, self.scheme, self.stack_model, batch,
-            self.num_samples,
+            self.task_map, self.scheme, self.stack_model,
+            self._sampled_states(),
             lambda d: self._seeds.rng(f"daemon-{d}"),
             daemon_ids=daemon_ids,
             threads_per_process=self.threads_per_process)
-        self.daemons_emulated += len(pairs)
         return [DaemonTrees(t2, t3) for t2, t3 in pairs]
 
     def merge_filter(self):

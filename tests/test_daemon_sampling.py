@@ -1,9 +1,9 @@
-"""Unit tests for the tool daemon, stack walker, and sampling cost model."""
+"""Unit tests for the daemon walk oracle, stack walker, and sampling cost
+model."""
 
 import numpy as np
 import pytest
 
-from repro.core.daemon import STATDaemon
 from repro.core.merge import DenseLabelScheme, HierarchicalLabelScheme
 from repro.core.sampling import SamplingConfig, time_sampling_phase
 from repro.core.stackwalk import StackWalker, cpu_dilation
@@ -13,6 +13,7 @@ from repro.machine.atlas import AtlasMachine, atlas_binary_spec
 from repro.machine.bgl import BGLMachine
 from repro.mpi.runtime import RankState
 from repro.mpi.stacks import BGLStackModel, LinuxStackModel
+from repro.perf.reference import ReferenceDaemon
 from repro.sim.engine import Engine
 from repro.statbench import ring_hang_states
 
@@ -53,11 +54,13 @@ class TestStackWalker:
 
 
 class TestSTATDaemon:
+    """The per-object daemon walk, kept as the build oracle."""
+
     @pytest.fixture
     def daemon(self, bgl_stacks):
         tm = TaskMap.cyclic(4, 8)
-        return STATDaemon(1, tm, HierarchicalLabelScheme(), bgl_stacks,
-                          rng=np.random.default_rng(3))
+        return ReferenceDaemon(1, tm, HierarchicalLabelScheme(), bgl_stacks,
+                               rng=np.random.default_rng(3))
 
     def test_sample_once_counts_traces(self, daemon):
         n = daemon.sample_once(lambda r: RankState("barrier"))
@@ -66,49 +69,29 @@ class TestSTATDaemon:
 
     def test_trees_before_sampling_rejected(self, daemon):
         with pytest.raises(RuntimeError):
-            _ = daemon.tree_2d
+            daemon.trees_arrays()
 
     def test_uniform_states_make_single_path_tree(self, daemon):
         daemon.sample_once(lambda r: RankState("stall", "f"))
-        tree = daemon.tree_2d
+        tree = daemon.trees_arrays()[0].to_prefix_tree()
         assert len(tree.leaf_paths()) == 1
         path, label = tree.leaf_paths()[0]
         assert label.count() == 8
 
-    def test_3d_accumulates_2d_replaced(self, daemon):
-        states = [RankState("stall", "f1"), RankState("stall", "f2")]
-        flip = {"i": 0}
-        def state_of(rank):
-            return states[flip["i"]]
-        daemon.sample_once(state_of)
-        flip["i"] = 1
-        daemon.sample_once(state_of)
-        assert len(daemon.tree_2d.leaf_paths()) == 1   # last sample only
-        assert len(daemon.tree_3d.leaf_paths()) == 2   # union over time
-
-    def test_sample_many_returns_both_trees(self, daemon):
-        t2d, t3d = daemon.sample_many(lambda r: RankState("barrier"), 5)
-        assert daemon.samples_taken == 5
-        assert t3d.node_count() >= t2d.node_count()
-
     def test_num_samples_validated(self, daemon):
         with pytest.raises(ValueError):
-            daemon.sample_many(lambda r: RankState("barrier"), 0)
-
-    def test_reset(self, daemon):
-        daemon.sample_once(lambda r: RankState("barrier"))
-        daemon.reset()
-        assert daemon.samples_taken == 0
+            daemon.collect_samples(lambda r: RankState("barrier"), 0)
 
     def test_dense_and_hierarchical_agree_on_ranks(self, bgl_stacks):
         tm = TaskMap.cyclic(2, 4)
         state_of = ring_hang_states(8)
         labels = {}
         for scheme in (DenseLabelScheme(8), HierarchicalLabelScheme()):
-            d = STATDaemon(0, tm, scheme, bgl_stacks,
-                           rng=np.random.default_rng(1))
+            d = ReferenceDaemon(0, tm, scheme, bgl_stacks,
+                                rng=np.random.default_rng(1))
             d.sample_once(state_of)
-            path, label = d.tree_2d.leaf_paths()[0]
+            tree = d.trees_arrays()[0].to_prefix_tree()
+            path, label = tree.leaf_paths()[0]
             if scheme.name == "original":
                 labels["dense"] = set(label.to_ranks().tolist())
             else:
@@ -117,8 +100,9 @@ class TestSTATDaemon:
 
     def test_threads_multiply_traces(self, bgl_stacks):
         tm = TaskMap.block(1, 4)
-        d = STATDaemon(0, tm, HierarchicalLabelScheme(), bgl_stacks,
-                       rng=np.random.default_rng(1), threads_per_process=4)
+        d = ReferenceDaemon(0, tm, HierarchicalLabelScheme(), bgl_stacks,
+                            rng=np.random.default_rng(1),
+                            threads_per_process=4)
         assert d.sample_once(lambda r: RankState("barrier")) == 16
 
 

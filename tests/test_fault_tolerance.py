@@ -78,7 +78,8 @@ class TestDegradedStatSession:
             bgl_small.num_daemons)
         net = TBONetwork(Topology.bgl_two_deep(bgl_small.num_daemons),
                          bgl_small)
-        res = net.reduce(emulator.daemon_trees, emulator.merge_filter(),
+        forest = emulator.build_forest()
+        res = net.reduce(forest.__getitem__, emulator.merge_filter(),
                          DaemonTrees.serialized_bytes,
                          DaemonTrees.node_count, faults=faults)
         assert res.missing_daemons == [5]

@@ -24,6 +24,8 @@ RULE_CASES = [
     ("mutable-default", "mutable_default_bad.py",
      "mutable_default_clean.py", 3),
     ("spec-not-frozen", "spec_frozen_bad.py", "spec_frozen_clean.py", 2),
+    ("oracle-isolation", "oracle_isolation_bad.py",
+     "oracle_isolation_clean.py", 5),
 ]
 
 
@@ -167,3 +169,26 @@ class TestSpecDrift:
                               select=["spec-drift"])
         assert len(findings) == 1
         assert "docs not found" in findings[0].message
+
+
+class TestOracleIsolationScope:
+    """Relative imports resolve; repro.perf itself may use the oracles."""
+
+    def lint_as(self, tmp_path, module_path, source):
+        target = tmp_path / module_path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+        return lint_paths([target], root=tmp_path,
+                          select=["oracle-isolation"])
+
+    def test_relative_import_from_core_fires(self, tmp_path):
+        findings = self.lint_as(tmp_path, "src/repro/core/mod.py",
+                                "from ..perf import reference\n"
+                                "from ..perf.reference import X\n")
+        assert [f.line for f in findings] == [1, 2]
+        assert "test oracle" in findings[0].message
+
+    def test_perf_package_may_import_it(self, tmp_path):
+        assert self.lint_as(tmp_path, "src/repro/perf/bench2.py",
+                            "from .reference import reference_merge\n"
+                            "import repro.perf.reference\n") == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.merge import HierarchicalLabelScheme
 from repro.core.taskset import TaskMap
+from repro.perf.counters import BUILD_DAEMONS, PERF
 from repro.statbench import (
     STATBenchEmulator,
     distinct_leaf_states,
@@ -67,8 +68,12 @@ class TestEmulator:
         return STATBenchEmulator(tm, HierarchicalLabelScheme(), bgl_stacks,
                                  ring_hang_states(256), num_samples=5)
 
-    def test_daemon_trees_payload(self, emulator):
-        pair = emulator.daemon_trees(0)
+    @pytest.fixture
+    def forest(self, emulator):
+        return emulator.build_forest()
+
+    def test_daemon_trees_payload(self, forest):
+        pair = forest[0]
         assert isinstance(pair, DaemonTrees)
         assert pair.serialized_bytes() > 0
         assert pair.node_count() == (pair.tree_2d.node_count()
@@ -80,32 +85,32 @@ class TestEmulator:
             em = STATBenchEmulator(tm, HierarchicalLabelScheme(),
                                    bgl_stacks, ring_hang_states(256),
                                    num_samples=5, seed=77)
-            return {d: em.daemon_trees(d) for d in order}
+            return dict(zip(order, em.build_forest(daemon_ids=order)))
         forward = build([0, 1, 2, 3])
         backward = build([3, 2, 1, 0])
         for d in range(4):
             assert forward[d].tree_3d.structurally_equal(
                 backward[d].tree_3d)
 
-    def test_daemon_with_hang_rank_sees_stall(self, emulator):
-        pair = emulator.daemon_trees(0)   # block map: daemon 0 has rank 1
+    def test_daemon_with_hang_rank_sees_stall(self, forest):
+        pair = forest[0]   # block map: daemon 0 has rank 1
         leaves = {p.leaf.function for p, _ in pair.tree_3d.leaf_paths()}
         assert "do_SendOrStall" in leaves
 
-    def test_daemon_without_hang_rank_sees_only_barrier(self, emulator):
-        pair = emulator.daemon_trees(3)
+    def test_daemon_without_hang_rank_sees_only_barrier(self, forest):
+        pair = forest[3]
         fns = {f.function for p, _ in pair.tree_3d.edges() for f in p}
         assert "do_SendOrStall" not in fns
         assert "PMPI_Barrier" in fns
 
-    def test_merge_filter_merges_pairwise(self, emulator):
+    def test_merge_filter_merges_pairwise(self, emulator, forest):
         merge = emulator.merge_filter()
-        merged = merge([emulator.daemon_trees(0), emulator.daemon_trees(1)])
+        merged = merge([forest[0], forest[1]])
         assert isinstance(merged, DaemonTrees)
         assert merged.tree_3d.node_count() >= \
-            emulator.daemon_trees(1).tree_3d.node_count()
+            forest[1].tree_3d.node_count()
 
     def test_emulation_counter(self, emulator):
-        emulator.daemon_trees(0)
-        emulator.daemon_trees(1)
-        assert emulator.daemons_emulated == 2
+        before = PERF.get(BUILD_DAEMONS)
+        emulator.build_forest(daemon_ids=[0, 1])
+        assert PERF.get(BUILD_DAEMONS) - before == 2

@@ -60,8 +60,9 @@ class TestThreadedMerge:
         em = STATBenchEmulator(tm, HierarchicalLabelScheme(), bgl_stacks,
                                ring_hang_states(machine.total_tasks),
                                num_samples=5, threads_per_process=threads)
+        forest = em.build_forest()
         net = TBONetwork(Topology.bgl_two_deep(machine.num_daemons), machine)
-        return net.reduce(em.daemon_trees, em.merge_filter(),
+        return net.reduce(forest.__getitem__, em.merge_filter(),
                           DaemonTrees.serialized_bytes,
                           DaemonTrees.node_count)
 

@@ -9,8 +9,12 @@ from repro.core.frontend import STATFrontEnd
 from repro.core.merge import HierarchicalLabelScheme
 from repro.core.queries import TreeQuery
 from repro.core.session import load_session, save_session
+from repro.core.equivalence import equivalence_classes
 from repro.core.taskset import TaskMap
 from repro.core.timeline import TimelineSampler
+from repro.mpi.runtime import STATES
+from repro.perf.reference import ReferenceDaemon
+from repro.sim.random import SeedStream
 from repro.statbench import ring_hang_states
 
 
@@ -22,7 +26,50 @@ def timeline_sampler(atlas_small, linux_stacks):
                            linux_stacks, seed=3)
 
 
+#: the two timeline scenarios: a running ring and a ring hung at rank 1
+SCENARIOS = {
+    "healthy": (lambda: ring_program(bug=NO_BUG, compute_seconds=2.0e-4),
+                [1e-4, 3e-4, 1.0]),
+    "hung": (lambda: ring_program(bug=HangBeforeSend(rank=1)), [0.5, 1.0]),
+}
+
+
+def _edges(tree):
+    return [(path, label.to_ranks().tolist()) for path, label in tree.edges()]
+
+
 class TestTimeline:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_matches_per_object_oracle(self, timeline_sampler, scenario):
+        """The forest-built trees equal per-object daemon walks that
+        sample the recorded per-instant states one instant at a time."""
+        make_program, times = SCENARIOS[scenario]
+        result = timeline_sampler.run(make_program(), sample_times=times)
+        sampler = timeline_sampler
+        assert result.states.shape == (len(times),
+                                       sampler.task_map.total_tasks)
+        seeds = SeedStream(sampler.seed).child("timeline")
+        trees_2d, trees_3d = [], []
+        for d in sorted(sampler.task_map.daemons()):
+            oracle = ReferenceDaemon(d, sampler.task_map, sampler.scheme,
+                                     sampler.stack_model,
+                                     rng=seeds.rng(f"daemon-{d}"))
+            for row in result.states:
+                oracle.sample_once(
+                    lambda r, row=row: STATES.state_of(int(row[r])))
+            tree_2d, tree_3d = oracle.trees_arrays()
+            trees_2d.append(tree_2d)
+            trees_3d.append(tree_3d)
+        scheme, task_map = sampler.scheme, sampler.task_map
+        want_2d = scheme.finalize(scheme.merge(trees_2d), task_map)
+        want_3d = scheme.finalize(scheme.merge(trees_3d), task_map)
+        assert _edges(result.tree_2d) == _edges(want_2d)
+        assert _edges(result.tree_3d) == _edges(want_3d)
+        assert equivalence_classes(result.tree_2d) == \
+            equivalence_classes(want_2d)
+        assert equivalence_classes(result.tree_3d) == \
+            equivalence_classes(want_3d)
+
     def test_healthy_app_shows_multiple_states_over_time(
             self, timeline_sampler):
         """A *running* app's 3D tree spans genuinely different states."""
